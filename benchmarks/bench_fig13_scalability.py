@@ -100,7 +100,7 @@ def test_fig13_jobs_sweep(benchmark):
     """
     workload_cls = MICROBENCHMARKS["hashmap_tx"]
     tx_count = TX_COUNTS[-1]
-    executor = "process" if ProcessExecutor.available() else "thread"
+    executor = "process" if ProcessExecutor.available() else "serial"
     cpu_count = os.cpu_count() or 1
     rows = []
     speedups = {}

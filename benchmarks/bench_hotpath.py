@@ -10,13 +10,15 @@ benchmark tracks that cost directly.  Two gates:
   recorded in :data:`PRECHANGE_BASELINE`.  Ops/sec and the per-phase
   split land in ``BENCH_hotpath.json``.
 
-* **Byte identity** — the optimized engine (columnar recorder, compiled
-  replay programs, coalescing/memoized ShadowPM) against the retained
-  reference engine: ``DetectorConfig(audit=True)`` forces the
-  event-object interleaved replay and disables every shadow fast path
-  (coalescing and memo lookups are bypassed whenever an audit sink is
-  attached).  Reports must match byte-for-byte, timings aside, on the
-  full Table 4 microbenchmark set (tiny sizes, so CI can afford it).
+* **Byte identity** — the optimized engine (columnar recorder,
+  checkpointed replay, dedup, coalescing/memoized ShadowPM) against two
+  references on the full Table 4 microbenchmark set (tiny sizes, so CI
+  can afford it): the interleaved schedule over the unoptimized shadow
+  (:func:`repro.core.shadow_ref.reference_bugs`, same bug list), and an
+  audited run — ``DetectorConfig(audit=True)`` replays every point
+  live with replay-level dedup off and bypasses the shadow's
+  coalescing and memo lookups whenever an audit sink is attached.
+  The audited report must match byte-for-byte, timings aside.
 
 Run with ``--benchmark-only``::
 
@@ -36,7 +38,10 @@ from benchmarks._common import (
     write_result,
     write_trajectory,
 )
-from repro.core import DetectorConfig
+from repro.core import DetectorConfig, XFDetector
+from repro.core.frontend import Frontend
+from repro.core.report import DetectionReport
+from repro.core.shadow_ref import reference_bugs
 from repro.workloads import MICROBENCHMARKS
 
 #: Pre-change serial cost of the acceptance configuration (hashmap_tx
@@ -194,24 +199,32 @@ def test_hotpath_speedup(benchmark):
 
 @pytest.mark.parametrize("name", list(MICROBENCHMARKS))
 def test_hotpath_byte_identity(benchmark, name):
-    """Optimized engine vs the event-object reference path.
+    """Optimized engine vs the reference oracle and an audited run.
 
-    ``audit=True`` routes analysis through the interleaved replay:
-    per-event objects, no compiled programs, and a ShadowPM whose
-    coalescing and memo fast paths are disabled by the attached audit
-    sink.  Every optimization must be observationally invisible here.
+    The oracle replays the interleaved schedule over the unoptimized
+    reference shadow; ``audit=True`` replays every point live through
+    a ShadowPM whose coalescing and memo fast paths are disabled by the
+    attached audit sink.  Every optimization must be observationally
+    invisible to both.
     """
     workload_cls = MICROBENCHMARKS[name]
-    optimized = run_detection(
-        workload_cls(test_size=IDENTITY_TEST_SIZE),
-        DetectorConfig(jobs=1),
+    config = DetectorConfig(jobs=1)
+    detector = XFDetector(config)
+    result = Frontend(config, telemetry=detector.telemetry).run(
+        workload_cls(test_size=IDENTITY_TEST_SIZE)
     )
-    reference = run_detection(
+    optimized = detector.analyze(result)
+    oracle = DetectionReport(optimized.workload_name)
+    oracle.bugs = reference_bugs(result, config)
+    assert (
+        optimized.to_dict(unique=False)["bugs"]
+        == oracle.to_dict(unique=False)["bugs"]
+    ), f"{name}: optimized bug list differs from the reference oracle"
+    audited = run_detection(
         workload_cls(test_size=IDENTITY_TEST_SIZE),
         DetectorConfig(jobs=1, audit=True),
     )
-    assert _strip_timings(optimized) == _strip_timings(reference), (
-        f"{name}: optimized report differs from the reference "
-        "interleaved engine"
+    assert _strip_timings(optimized) == _strip_timings(audited), (
+        f"{name}: optimized report differs from the audited run"
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -123,9 +123,10 @@ def _build_parser():
                           "out over N workers (default: XFD_JOBS or "
                           "1; reports are identical at any width)")
     run.add_argument("--executor", default=None,
-                     choices=("auto", "serial", "thread", "process"),
-                     help="worker-pool kind for --jobs (default: "
-                          "XFD_EXECUTOR or auto)")
+                     choices=("auto", "serial", "process"),
+                     help="worker-pool kind for --jobs: a fork-based "
+                          "process pool (auto/process) or serial "
+                          "(default: XFD_EXECUTOR or auto)")
     run.add_argument("--batch-size", type=int, default=None,
                      metavar="N",
                      help="failure points per worker dispatch: "

@@ -26,7 +26,7 @@ def _default_jobs():
 def _default_executor():
     """Executor kind: the ``XFD_EXECUTOR`` env var, default ``auto``."""
     raw = os.environ.get("XFD_EXECUTOR", "").strip().lower()
-    if raw in ("serial", "thread", "process", "auto"):
+    if raw in ("serial", "process", "auto"):
         return raw
     return "auto"
 
@@ -142,8 +142,8 @@ class DetectorConfig:
     #: ordering points with no PM data operation in between.
     skip_empty_failure_points: bool = True
 
-    #: Report performance bugs (redundant writebacks, duplicate TX_ADD,
-    #: redundant fences).
+    #: Report performance bugs (redundant writebacks, duplicate
+    #: TX_ADD).
     report_perf_bugs: bool = True
 
     #: Silhouette-style static pruning: run ``repro.analysis`` over the
@@ -194,10 +194,11 @@ class DetectorConfig:
     #: Overridable via the ``XFD_JOBS`` env var.
     jobs: int = field(default_factory=_default_jobs)
 
-    #: Executor kind: "auto" (process when fork is available, else
-    #: thread), "serial", "thread", or "process".  Overridable via the
-    #: ``XFD_EXECUTOR`` env var.  Audit and fail-fast runs always use
-    #: the serial executor regardless of this setting.
+    #: Executor kind: "auto" or "process" (a fork-based process pool
+    #: at ``jobs > 1``; serial where fork is unavailable), or
+    #: "serial".  Overridable via the ``XFD_EXECUTOR`` env var.  Audit
+    #: and fail-fast runs always use the serial executor regardless of
+    #: this setting.
     executor: str = field(default_factory=_default_executor)
 
     #: Failure points per pool dispatch (``repro.exec``): contiguous

@@ -7,10 +7,10 @@ import dataclasses
 from repro._location import UNKNOWN_LOCATION
 from repro.core.config import DetectorConfig
 from repro.core.frontend import Frontend
-from repro.core.replay import StopAnalysis, TraceReplayer, lower_trace
+from repro.core.replay import TraceReplayer, lower_trace
 from repro.core.report import Bug, BugKind, DetectionReport
 from repro.core.shadow import ShadowCheckpointCache, ShadowPM
-from repro.exec.base import TaskOutcome, resolve_executor
+from repro.exec.base import SerialExecutor, resolve_executor, submitter
 from repro.exec.worker import (
     ReplayPhaseContext,
     run_replay_task,
@@ -43,15 +43,18 @@ class XFDetector:
     every FSM transition.  The run's telemetry is attached to the
     returned report as ``report.telemetry``.
 
-    Backend scheduling: the default path replays the pre-failure trace
-    once, capturing a shadow checkpoint at each ``FAILURE_POINT``
-    marker, and then replays every post-failure trace against a fork of
-    its checkpoint — independent tasks a ``repro.exec`` executor can
-    fan out.  Bugs are merged back in the schedule the classic
-    interleaved replay would have produced, so reports are
-    byte-identical regardless of ``config.jobs``.  Audit and fail-fast
-    runs use the interleaved replay directly (the audit log records the
-    in-process schedule; fail-fast stops mid-schedule).
+    Backend scheduling: the backend replays the pre-failure trace once,
+    capturing a shadow checkpoint at each ``FAILURE_POINT`` marker, and
+    then replays every post-failure trace against a fork of its
+    checkpoint — independent tasks a ``repro.exec`` executor can fan
+    out.  Bugs are merged back in the order the interleaved schedule
+    (fork and replay inline at each marker; kept as the test oracle
+    :func:`repro.core.shadow_ref.reference_bugs`) produces, so reports
+    are byte-identical regardless of ``config.jobs``.  Audit and
+    fail-fast are properties of this one path: audit scopes the
+    pre-replay and each fork into the run's audit log, and fail-fast
+    stops replaying after the first post replay that finds a
+    cross-failure bug.
     """
 
     def __init__(self, config=None):
@@ -142,15 +145,10 @@ class XFDetector:
         )
 
         try:
-            if self.config.fail_fast or tel.audit is not None:
-                self._analyze_interleaved(
-                    frontend_result, ordered_runs, report
-                )
-            else:
-                self._analyze_checkpointed(
-                    frontend_result, ordered_runs, report, executor,
-                    incident_log, journal,
-                )
+            self._analyze_checkpointed(
+                frontend_result, ordered_runs, report, executor,
+                incident_log, journal,
+            )
         finally:
             if journal is not None:
                 journal.close()
@@ -162,114 +160,10 @@ class XFDetector:
         tel.metrics.gauge("benign_race_reads").set(stats.benign_races)
         return report
 
-    # -- interleaved replay (audit / fail-fast) -------------------------
-
-    def _analyze_interleaved(self, frontend_result, ordered_runs,
-                             report):
-        """The classic schedule: fork and replay each post-failure
-        trace inline at its ``FAILURE_POINT`` marker during the
-        pre-failure replay."""
-        tel = self.telemetry
-        stats = report.stats
-        post_by_fid = {}
-        for run in ordered_runs:
-            post_by_fid.setdefault(run.failure_point.fid, []).append(run)
-
-        tel.emit(
-            "phase_started", phase="backend", points=len(ordered_runs)
-        )
-        with tel.span("backend") as backend_span:
-            audit = (
-                tel.audit.scoped(stage="pre")
-                if tel.audit is not None else None
-            )
-            shadow = ShadowPM(
-                platform=self.config.platform,
-                audit=audit,
-                transition_counter=tel.metrics.counter(
-                    "shadow_transitions_total"
-                ),
-            )
-            pre_has_roi = _has_roi(frontend_result.pre_recorder)
-            tel.metrics.inc(
-                "replays_roi_scoped" if pre_has_roi
-                else "replays_whole_trace"
-            )
-            pre_replayer = TraceReplayer(
-                shadow, self.config, "pre", report,
-                has_roi=pre_has_roi, metrics=tel.metrics,
-            )
-            try:
-                for event in frontend_result.pre_recorder:
-                    if event.kind is EventKind.FAILURE_POINT:
-                        for run in post_by_fid.get(int(event.info), []):
-                            stats.post_runs_analyzed += 1
-                            cursor = len(report.bugs)
-                            self._analyze_failure_point(
-                                shadow, report, run
-                            )
-                            for bug in report.bugs[cursor:]:
-                                _emit_finding(tel, bug)
-                            tel.emit(
-                                "point_completed", phase="backend",
-                                fid=run.failure_point.fid,
-                                variant=run.variant,
-                            )
-                    pre_replayer.process(event)
-            except StopAnalysis:
-                pass
-
-        # The per-point deltas above covered every bug carrying a
-        # failure point; pre-failure findings (perf bugs found between
-        # markers, which carry none) are emitted here.
-        for bug in report.bugs:
-            if bug.failure_point is None:
-                _emit_finding(tel, bug)
-        tel.emit("phase_finished", phase="backend")
-        stats.backend_seconds = backend_span.duration
-        tel.metrics.gauge("orphaned_post_runs").set(
-            len(ordered_runs) - stats.post_runs_analyzed
-        )
-
-    def _analyze_failure_point(self, shadow, report, post_run):
-        if post_run is None:
-            return
-        tel = self.telemetry
-        fid = post_run.failure_point.fid
-        attrs = {"fid": fid}
-        if post_run.variant is not None:
-            attrs["variant"] = post_run.variant
-        with tel.span("post_replay", **attrs):
-            fork = shadow.copy()
-            if tel.audit is not None:
-                tel.audit.mark_fork(fid)
-                fork.audit = tel.audit.scoped(
-                    stage="post", failure_point=fid
-                )
-            post_has_roi = _has_roi(post_run.recorder)
-            tel.metrics.inc(
-                "replays_roi_scoped" if post_has_roi
-                else "replays_whole_trace"
-            )
-            replayer = TraceReplayer(
-                fork,
-                self.config,
-                "post",
-                report,
-                failure_point=fid,
-                has_roi=post_has_roi,
-                metrics=tel.metrics,
-            )
-            for event in post_run.recorder:
-                replayer.process(event)
-            if post_run.crash is not None:
-                self._append_crash_bug(report, post_run)
-
     # -- checkpointed replay (executor-friendly) ------------------------
 
     def _analyze_checkpointed(self, frontend_result, ordered_runs,
-                              report, executor, incident_log=None,
-                              journal=None):
+                              report, executor, incident_log, journal):
         """Checkpoint the shadow at each marker during one pre-failure
         replay, then replay every post-failure trace against a fork of
         its checkpoint as an independent executor task.
@@ -277,18 +171,28 @@ class XFDetector:
         Bugs are spliced back into the interleaved schedule's order
         (pre-failure bugs found before a marker precede that failure
         point's post-failure bugs), so the report is byte-identical to
-        the classic path and independent of the executor.  Runs spliced
-        from a resume journal skip the replay entirely; quarantined
-        runs are dropped (their incidents carry the provenance); and
-        every newly completed run is journaled the moment it is merged,
-        so a killed run loses at most the point being merged.
+        the interleaved oracle and independent of the executor.  Runs
+        spliced from a resume journal skip the replay entirely;
+        quarantined runs are dropped (their incidents carry the
+        provenance); and every newly completed run is journaled the
+        moment it is merged, so a killed run loses at most the point
+        being merged.  A ``fail_fast`` stop ends the report after the
+        stopping run's bugs, as the interleaved schedule would.
+
+        Under audit the pre-replay records into a ``stage="pre"`` scope
+        and the fork position of each failure point is marked at its
+        marker, so ``AuditLog.history_for`` cuts the inherited history
+        exactly there; every live run then replays (no replay-level
+        dedup clones), each into its own ``stage="post"`` scope.
         """
-        if incident_log is None:
-            incident_log = IncidentLog()
         tel = self.telemetry
         stats = report.stats
+        audit = tel.audit
         dedup_on = getattr(self.config, "dedup", False)
         memo_on = getattr(self.config, "replay_memo", False)
+        replay_dedup = (
+            dedup_on and audit is None and not self.config.fail_fast
+        )
 
         # The pre-failure trace is lowered into a compiled replay
         # program exactly once; the marker scan below, the pre-replay,
@@ -317,6 +221,10 @@ class XFDetector:
         with tel.span("backend") as backend_span:
             shadow = ShadowPM(
                 platform=self.config.platform,
+                audit=(
+                    audit.scoped(stage="pre")
+                    if audit is not None else None
+                ),
                 transition_counter=tel.metrics.counter(
                     "shadow_transitions_total"
                 ),
@@ -330,9 +238,6 @@ class XFDetector:
                 shadow, self.config, "pre", report,
                 has_roi=pre_has_roi, metrics=tel.metrics,
             )
-            tel.metrics.gauge("orphaned_post_runs").set(
-                len(ordered_runs) - len(tasks)
-            )
             runs_at = {}
             for task_index, run in enumerate(tasks):
                 runs_at.setdefault(
@@ -340,7 +245,7 @@ class XFDetector:
                 ).append(task_index)
             # Merged LOAD ranges per exec-dedup class with >1 live
             # member: the shadow read set a digest must cover.
-            readsets = _class_readsets(tasks) if dedup_on else {}
+            readsets = _class_readsets(tasks) if replay_dedup else {}
 
             checkpoints = ShadowCheckpointCache(
                 self._checkpoint_rebuilder(pre_program, pre_has_roi)
@@ -357,16 +262,15 @@ class XFDetector:
                 if code == _FP_CODE:
                     fid = int(info)
                     insert_at[fid] = len(report.bugs)
+                    if audit is not None and fid in runs_at:
+                        audit.mark_fork(fid)
                     need_live = not (dedup_on and memo_on)
                     digests = {}
                     for task_index in runs_at.get(fid, ()):
                         run = tasks[task_index]
                         if getattr(run, "journal_entry", None) is not None:
                             continue
-                        cid = (
-                            getattr(run, "dedup_class", None)
-                            if dedup_on else None
-                        )
+                        cid = getattr(run, "dedup_class", None)
                         readset = readsets.get(cid)
                         if readset is not None:
                             digest = digests.get(cid)
@@ -392,18 +296,24 @@ class XFDetector:
                     "replay_checkpoints_skipped", checkpoints.skipped
                 )
 
-            results, replays_deduped = self._replay_tasks(
+            results, replays_deduped, stopped = self._replay_tasks(
                 tasks, checkpoints, executor, incident_log, clone_of
             )
             stats.replays_deduped = replays_deduped
             stats.post_runs_analyzed = sum(
                 1 for result in results if result is not None
             )
+            # Runs without a marker, and runs after a fail-fast stop,
+            # never replay.
+            tel.metrics.gauge("orphaned_post_runs").set(
+                len(ordered_runs) - len(results)
+            )
 
             merged = []
             cursor = 0
             current_fid = None
-            for run, result in zip(tasks, results):
+            last = len(results) - 1
+            for index, (run, result) in enumerate(zip(tasks, results)):
                 if result is None:
                     continue  # quarantined: outcome lost
                 bugs, benign_races = result
@@ -417,9 +327,16 @@ class XFDetector:
                 for bug in bugs:
                     _emit_finding(tel, bug)
                 stats.benign_races += benign_races
+                if stopped and index == last:
+                    break  # fail-fast: nothing after the first race
                 if run.crash is not None:
-                    self._append_crash_bug(report, run, into=merged)
-                    _emit_finding(tel, merged[-1])
+                    # A crashed post-failure execution is itself a
+                    # finding.
+                    bug = crash_bug(run)
+                    merged.append(bug)
+                    tel.metrics.inc("bugs_reported_total")
+                    tel.metrics.inc("bugs_reported.post_failure_crash")
+                    _emit_finding(tel, bug)
                 if journal is not None:
                     journal.record_post(
                         fid, run.variant,
@@ -432,7 +349,8 @@ class XFDetector:
                         bugs=bugs,
                         benign_races=benign_races,
                     )
-            merged.extend(pre_bugs[cursor:])
+            else:
+                merged.extend(pre_bugs[cursor:])
             report.bugs = merged
 
         stats.backend_seconds = backend_span.duration
@@ -463,15 +381,18 @@ class XFDetector:
         return rebuild
 
     def _replay_tasks(self, tasks, checkpoints, executor,
-                      incident_log, clone_of=None):
+                      incident_log, clone_of):
         """Run every post-failure replay task; returns one
         ``(bugs, benign_races)`` pair per task, in task order —
         rebuilt straight from the journal for resumed runs, cloned
         from the source replay for deduped runs (with per-member
         failure-point provenance rewritten), None for quarantined
-        ones — plus the number of replays deduped."""
+        ones — plus the number of replays deduped and whether a
+        ``fail_fast`` stop cut the list short after its last entry.
+
+        Under ``fail_fast`` tasks are submitted one at a time, so no
+        task after the stopping one is replayed."""
         tel = self.telemetry
-        clone_of = clone_of or {}
         keys = []
         runs_map = {}
         journaled = {}
@@ -503,18 +424,22 @@ class XFDetector:
                 "post_replay", self.config, incident_log, resilience,
                 tel,
             )
-            if executor is not None and executor.kind != "serial":
-                ctx = ReplayPhaseContext(
-                    strip_config(self.config), checkpoints, runs_map,
-                    resilience,
-                )
-                submit = self._replay_submit_pool(executor, ctx)
-            else:
-                ctx = ReplayPhaseContext(
-                    self.config, checkpoints, runs_map, resilience
-                )
-                submit = self._replay_submit_serial(ctx)
-            completed = supervisor.run(submit, live_keys)
+            if executor is None:
+                executor = SerialExecutor()
+            ctx = ReplayPhaseContext(
+                strip_config(self.config), checkpoints, runs_map,
+                resilience, audit=tel.audit,
+            )
+            submit = submitter(executor, ctx, run_replay_task, tel)
+            waves = (
+                [[key] for key in live_keys] if self.config.fail_fast
+                else [live_keys]
+            )
+            for wave in waves:
+                done = supervisor.run(submit, wave)
+                completed.update(done)
+                if any(outcome.value.stopped for outcome in done.values()):
+                    break
             if clone_of:
                 # A quarantined source replay speaks for nobody: its
                 # clones replay live (rebuilding their checkpoint if
@@ -538,6 +463,8 @@ class XFDetector:
             if key in completed:
                 value = completed[key].value
                 results.append((value.bugs, value.benign_races))
+                if value.stopped:
+                    return results, replays_deduped, True
                 continue
             source_index = clone_of.get(key[2])
             source = (
@@ -569,61 +496,18 @@ class XFDetector:
                 fid=fid, variant=key[1],
             )
             replays_deduped += 1
-        return results, replays_deduped
+        return results, replays_deduped, False
 
-    def _replay_submit_serial(self, ctx):
-        """Inline replay; each task records its own ``post_replay``
-        span tree (fork/replay children) and it is grafted here."""
-        tel = self.telemetry
 
-        def submit(wave):
-            outcomes = []
-            for key in wave:
-                try:
-                    value = run_replay_task(ctx, key)
-                except Exception as exc:
-                    outcomes.append(TaskOutcome(None, error=exc))
-                else:
-                    tel.spans.graft(value.spans)
-                    tel.metrics.merge(value.metrics)
-                    outcomes.append(TaskOutcome(value))
-            return outcomes
-
-        return submit
-
-    def _replay_submit_pool(self, executor, ctx):
-        """Fan replay out over a pool; merge worker-local telemetry
-        for completed tasks only (a retried task merges once) and
-        graft each shipped span tree, tagged with its worker."""
-        tel = self.telemetry
-
-        def submit(wave):
-            outcomes = executor.run_phase(ctx, run_replay_task, wave)
-            wait_timer = tel.metrics.timer("exec.queue_wait_seconds")
-            for outcome in outcomes:
-                value = outcome.value
-                if value is None:
-                    continue
-                tel.spans.graft(value.spans, worker=outcome.worker)
-                wait_timer.observe(outcome.queue_wait)
-                tel.metrics.merge(value.metrics)
-            return outcomes
-
-        return submit
-
-    def _append_crash_bug(self, report, post_run, into=None):
-        """A crashed post-failure execution is itself a finding."""
-        tel = self.telemetry
-        tel.metrics.inc("bugs_reported_total")
-        tel.metrics.inc("bugs_reported.post_failure_crash")
-        bug = Bug(
-            kind=BugKind.POST_FAILURE_CRASH,
-            detail=str(post_run.crash),
-            failure_point=post_run.failure_point.fid,
-            reader_ip=UNKNOWN_LOCATION,
-            writer_ip=UNKNOWN_LOCATION,
-        )
-        (report.bugs if into is None else into).append(bug)
+def crash_bug(post_run):
+    """The ``POST_FAILURE_CRASH`` finding of one crashed run."""
+    return Bug(
+        kind=BugKind.POST_FAILURE_CRASH,
+        detail=str(post_run.crash),
+        failure_point=post_run.failure_point.fid,
+        reader_ip=UNKNOWN_LOCATION,
+        writer_ip=UNKNOWN_LOCATION,
+    )
 
 
 def _emit_finding(telemetry, bug):

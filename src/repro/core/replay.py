@@ -1,9 +1,9 @@
 """Backend trace replay and bug detection (paper Section 5.4).
 
 The backend replays the pre-failure trace once, updating the shadow PM
-event by event.  At each ``FAILURE_POINT`` marker it forks the shadow
-and replays the corresponding post-failure trace against the fork,
-classifying every post-failure read:
+event by event.  At each ``FAILURE_POINT`` marker it checkpoints the
+shadow, and each post-failure trace is replayed against a fork of its
+marker's checkpoint, classifying every post-failure read:
 
 1. reads inside library internals or skip-detection regions — skipped;
 2. reads of bytes (over)written during the post-failure stage — clean;
@@ -16,18 +16,16 @@ classifying every post-failure read:
 7. everything else — clean.
 
 During the pre-failure replay the backend also reports performance
-bugs: redundant writebacks (Figure 9's yellow edges), duplicated
-``TX_ADD`` of an already-added range, and (optionally) fences that
-completed no writeback.
+bugs: redundant writebacks (Figure 9's yellow edges) and duplicated
+``TX_ADD`` of an already-added range.
 
-Hot path (ISSUE 10): traces are pre-lowered once by
-:func:`lower_trace` into *compiled replay programs* — flat tuples of
-``(kind_code, addr, size, info, ip, tid)`` scalars — and executed by
-:meth:`TraceReplayer.run_program`, which dispatches each instruction
-through a per-instance handler table indexed by the integer kind code.
-No event objects, enum hashing, or attribute loads per replayed
-operation.  :meth:`TraceReplayer.process` remains as the event-object
-wrapper for the audit/interleaved path and for tests.
+Traces are pre-lowered once by :func:`lower_trace` into *compiled
+replay programs* — flat tuples of ``(kind_code, addr, size, info, ip,
+tid)`` scalars — and executed by :meth:`TraceReplayer.run_program`,
+which dispatches each instruction through a per-instance handler table
+indexed by the integer kind code.  No event objects, enum hashing, or
+attribute loads per replayed operation; this is the only replay
+interface.
 """
 
 from __future__ import annotations
@@ -202,13 +200,6 @@ class TraceReplayer:
                 deadline.tick()
                 dispatch[code](addr, size, info, ip, tid)
 
-    def process(self, event):
-        """Apply one :class:`TraceEvent` (event-object wrapper over the
-        instruction handlers; the interleaved/audit path and tests)."""
-        self._dispatch[KIND_CODE[event.kind]](
-            event.addr, event.size, event.info, event.ip, event.tid
-        )
-
     # -- instruction handlers ------------------------------------------
 
     def _op_nop(self, addr, size, info, ip, tid):
@@ -267,20 +258,8 @@ class TraceReplayer:
             )
 
     def _op_fence(self, addr, size, info, ip, tid):
-        if not self._is_pre:
-            return
-        completed = self.shadow.record_fence(ip=ip)
-        if (
-            not completed
-            and not self._suppressed(tid)
-            and self.config.report_perf_bugs
-            and getattr(self.config, "report_redundant_fences", False)
-        ):
-            self._bug(
-                BugKind.PERFORMANCE,
-                "fence completed no writeback",
-                reader_ip=ip,
-            )
+        if self._is_pre:
+            self.shadow.record_fence(ip=ip)
 
     def _op_tx_begin(self, addr, size, info, ip, tid):
         thread = self._thread(tid)

@@ -22,7 +22,6 @@ paper's Figure 11 walkthrough.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 from repro._rangemap import RangeMap
@@ -199,11 +198,11 @@ class ShadowPM:
     def fork_for_replay(self, transition_counter=None):
         """A fork for a detached post-failure replay (executor task).
 
-        Unlike :meth:`copy`, the fork carries no audit hook (parallel
-        replays do not share the in-process audit log — audit mode
-        forces the serial interleaved schedule) and counts transitions
-        into its own counter so parallel replays never contend on, or
-        non-deterministically interleave into, the parent's counter.
+        Unlike :meth:`copy`, the fork carries no audit hook (the replay
+        task attaches its own per-failure-point audit scope when audit
+        mode is on) and counts transitions into its own counter so
+        parallel replays never contend on, or non-deterministically
+        interleave into, the parent's counter.
         """
         dup = self.copy()
         dup.audit = None
@@ -712,14 +711,12 @@ class ShadowCheckpointCache:
     a fallback replay at a skipped marker.
 
     Dict-like on purpose: worker task bodies index it exactly like the
-    plain ``{fid: ShadowPM}`` dict it replaces.  The rebuild path is
-    locked — thread-pool workers may race on a miss.
+    plain ``{fid: ShadowPM}`` dict it replaces.
     """
 
     def __init__(self, rebuild=None):
         self._checkpoints = {}
         self._rebuild = rebuild
-        self._lock = threading.Lock()
         #: Markers that never got a checkpoint (every run there was
         #: deduped, journaled, or absent).
         self.skipped = 0
@@ -744,12 +741,9 @@ class ShadowCheckpointCache:
             return checkpoint
         if self._rebuild is None:
             raise KeyError(fid)
-        with self._lock:
-            checkpoint = self._checkpoints.get(fid)
-            if checkpoint is None:
-                checkpoint = self._rebuild(fid)
-                self._checkpoints[fid] = checkpoint
-                self.rebuilt += 1
+        checkpoint = self._rebuild(fid)
+        self._checkpoints[fid] = checkpoint
+        self.rebuilt += 1
         return checkpoint
 
 

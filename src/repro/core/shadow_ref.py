@@ -1,12 +1,16 @@
-"""Reference shadow-PM state machine (testing oracle).
+"""Reference shadow-PM state machine and backend (testing oracles).
 
-This is the straight-line Figure 9 / Figure 10 implementation as it
-stood *before* the fast-path work in :mod:`repro.core.shadow` (store
-coalescing, slotted classes, memoized lookups).  It is retained solely
-as a differential-testing oracle: ``tests/unit/test_shadow_property.py``
-drives random store/flush/fence/transaction sequences through both
-implementations and asserts byte-identical persistence and consistency
-verdicts.
+:class:`ReferenceShadowPM` is the straight-line Figure 9 / Figure 10
+implementation as it stood *before* the fast-path work in
+:mod:`repro.core.shadow` (store coalescing, slotted classes, memoized
+lookups).  ``tests/unit/test_shadow_property.py`` drives random
+store/flush/fence/transaction sequences through both implementations
+and asserts byte-identical persistence and consistency verdicts.
+
+:func:`reference_bugs` is the paper's interleaved backend schedule
+over that shadow, with none of the detector's machinery (checkpoints,
+executors, dedup, memo, telemetry); the detector's bug lists must equal
+it.
 
 Keep this module boring.  Optimizations belong in ``shadow.py``; any
 semantic change to the FSM must land in **both** files (the property
@@ -14,6 +18,8 @@ test will catch a divergence either way).
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro._rangemap import RangeMap
 from repro.pm.address import AddressRange
@@ -250,3 +256,49 @@ class ReferenceShadowPM:
 
     def consistency_at(self, addr):
         return self.consistency.get(addr)
+
+
+def reference_bugs(frontend_result, config):
+    """The bug list of the interleaved backend schedule (Section 5.4).
+
+    Replays the pre-failure trace into a :class:`ReferenceShadowPM`;
+    at each ``FAILURE_POINT`` marker, forks the shadow and replays that
+    point's post-failure runs (base run first, then variants) against
+    the fork, in place.  ``fail_fast`` stops everything at the first
+    cross-failure bug.
+    """
+    from repro.core.detector import crash_bug
+    from repro.core.replay import StopAnalysis, TraceReplayer, lower_trace
+    from repro.core.report import DetectionReport
+    from repro.trace.events import KIND_CODE, EventKind
+
+    marker = KIND_CODE[EventKind.FAILURE_POINT]
+    roi = KIND_CODE[EventKind.ROI_BEGIN]
+    report = DetectionReport()
+
+    def replayer(shadow, program, stage, fid=None):
+        has_roi = any(instr[0] == roi for instr in program)
+        return TraceReplayer(shadow, config, stage, report,
+                             failure_point=fid, has_roi=has_roi)
+
+    runs_at = {}
+    for run in sorted(frontend_result.post_runs, key=lambda run: (
+            run.failure_point.fid, run.variant is not None,
+            run.variant or 0)):
+        runs_at.setdefault(run.failure_point.fid, []).append(run)
+    shadow = ReferenceShadowPM(config.platform)
+    pre_program = lower_trace(frontend_result.pre_recorder)
+    pre = replayer(shadow, pre_program, "pre")
+    try:
+        for instr in pre_program:
+            if instr[0] == marker:
+                for run in runs_at.get(int(instr[3]), ()):
+                    program = lower_trace(run.recorder)
+                    replayer(copy.deepcopy(shadow), program, "post",
+                             run.failure_point.fid).run_program(program)
+                    if run.crash is not None:
+                        report.bugs.append(crash_bug(run))
+            pre.run_program((instr,))
+    except StopAnalysis:
+        pass
+    return report.bugs

@@ -152,10 +152,9 @@ def _restore(working, canonical, ranges):
     return sum(e - s for s, e in merged)
 
 
-#: One memo per worker thread.  Thread-pool workers each get their own
-#: (waves rebuild pools, so fresh threads simply start a fresh memo);
-#: forked process workers inherit the parent's *empty* main-thread
-#: state and likewise build their own on first task.
+#: One memo per worker thread: forked process workers inherit the
+#: parent's *empty* main-thread state and build their own on first
+#: task.
 _local = threading.local()
 
 

@@ -7,10 +7,8 @@ independent.  This package fans both phases out across a pluggable
 worker pool:
 
 * :class:`~repro.exec.base.SerialExecutor` — in-process, the default
-  and the reference schedule (``jobs=1``, audit, or ``fail_fast``);
-* :class:`~repro.exec.pool.ThreadExecutor` — a thread pool; no
-  CPU-bound speedup under the GIL but exercises the parallel result
-  plumbing everywhere;
+  and the reference schedule (``jobs=1``, audit, ``fail_fast``, or no
+  fork start method);
 * :class:`~repro.exec.pool.ProcessExecutor` — a cold fork-based
   process pool (fresh per phase); phase contexts travel to children by
   fork inheritance, task keys and results cross via pickle;
@@ -32,19 +30,16 @@ from repro.exec.base import (
     TaskOutcome,
     plan_batches,
     resolve_executor,
+    submitter,
 )
-from repro.exec.pool import (
-    ProcessExecutor,
-    ThreadExecutor,
-    WarmProcessExecutor,
-)
+from repro.exec.pool import ProcessExecutor, WarmProcessExecutor
 
 __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "TaskOutcome",
-    "ThreadExecutor",
     "WarmProcessExecutor",
     "plan_batches",
     "resolve_executor",
+    "submitter",
 ]

@@ -9,7 +9,7 @@ executors.
 
 from __future__ import annotations
 
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
+EXECUTOR_KINDS = ("auto", "serial", "process")
 
 
 class TaskOutcome:
@@ -28,7 +28,7 @@ class TaskOutcome:
         self.value = value
         #: Seconds between submission and a worker picking the task up.
         self.queue_wait = queue_wait
-        #: Label of the worker that ran the task (thread name / pid).
+        #: Label of the worker that ran the task (pid).
         self.worker = worker
         #: The exception the task raised, or None on success.
         self.error = error
@@ -84,22 +84,55 @@ class SerialExecutor:
         pass
 
 
+def submitter(executor, context, func, telemetry):
+    """The :class:`~repro.resilience.PhaseSupervisor` submit callable
+    of one phase: run a wave of keys through ``executor`` and fold each
+    completed task's telemetry into the run's.
+
+    Every task ships its own span tree back in its outcome; it is
+    grafted under the coordinator's open span — tagged with the worker
+    that ran it on a pool, untagged on the serial executor, so a serial
+    profile looks exactly like an in-process run.  A task-local metrics
+    registry (``value.metrics``, when the task records one) is merged
+    for completed tasks only, so a retried task merges once.
+    """
+    pooled = executor.kind != "serial"
+
+    def submit(wave):
+        outcomes = executor.run_phase(context, func, wave)
+        wait_timer = (
+            telemetry.metrics.timer("exec.queue_wait_seconds")
+            if pooled else None
+        )
+        for outcome in outcomes:
+            value = outcome.value
+            if value is None:
+                continue
+            if pooled:
+                telemetry.spans.graft(value.spans, worker=outcome.worker)
+                wait_timer.observe(outcome.queue_wait)
+            else:
+                telemetry.spans.graft(value.spans)
+            metrics = getattr(value, "metrics", None)
+            if metrics is not None:
+                telemetry.metrics.merge(metrics)
+        return outcomes
+
+    return submit
+
+
 def resolve_executor(config, telemetry=None):
     """The executor for one detection run, from ``config.jobs`` /
     ``config.executor``.
 
     Serial is forced when ``jobs <= 1`` and for two configurations
-    whose semantics are inherently sequential: ``audit`` (the audit
-    log and span tree record the in-process schedule) and
-    ``fail_fast`` (the backend stops mid-schedule at the first
-    cross-failure bug).  ``auto`` prefers processes (real CPU
-    parallelism) when fork is available, threads otherwise.
+    whose semantics are inherently sequential: ``audit`` (every replay
+    records into the one in-process audit log) and ``fail_fast`` (the
+    backend stops replaying at the first cross-failure bug).  Without
+    the fork start method there is no process pool, and the run falls
+    back to serial.
     """
-    from repro.exec.pool import (
-        ProcessExecutor,
-        ThreadExecutor,
-        WarmProcessExecutor,
-    )
+    from repro.exec.pool import ProcessExecutor, WarmProcessExecutor
 
     jobs = int(getattr(config, "jobs", 1) or 1)
     kind = getattr(config, "executor", "auto") or "auto"
@@ -115,17 +148,13 @@ def resolve_executor(config, telemetry=None):
         or getattr(config, "fail_fast", False)
     ):
         return SerialExecutor()
-    if kind == "auto":
-        kind = "process" if ProcessExecutor.available() else "thread"
-    if kind == "process" and not ProcessExecutor.available():
-        if telemetry is not None:
-            telemetry.metrics.inc("exec.fallback_to_thread")
-        kind = "thread"
+    if not ProcessExecutor.available():
+        if kind == "process" and telemetry is not None:
+            telemetry.metrics.inc("exec.fallback_to_serial")
+        return SerialExecutor()
     batch_size = int(getattr(config, "batch_size", 1) or 1)
-    if kind == "process":
-        if getattr(config, "warm_pool", True):
-            return WarmProcessExecutor(
-                jobs, batch_size=batch_size, telemetry=telemetry
-            )
-        return ProcessExecutor(jobs, batch_size=batch_size)
-    return ThreadExecutor(jobs, batch_size=batch_size)
+    if getattr(config, "warm_pool", True):
+        return WarmProcessExecutor(
+            jobs, batch_size=batch_size, telemetry=telemetry
+        )
+    return ProcessExecutor(jobs, batch_size=batch_size)

@@ -1,4 +1,4 @@
-"""Thread- and process-pool executors.
+"""Process-pool executors.
 
 All executors submit tasks in key order and collect results in the
 same order, so downstream merging is deterministic.  Queue-wait is
@@ -37,7 +37,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import threading
 import time
 
 from repro.errors import HarnessError
@@ -73,9 +72,13 @@ def _collect(pool, call, batches):
     return outcomes
 
 
-def _run_batch(func, context, keys, submitted, worker):
+def _process_batch(func, keys, submitted):
     """One worker's pass over a batch: per-key outcomes, per-key error
     capture (one crashed task must not take its batchmates with it)."""
+    from repro.exec import worker
+
+    context = worker.get_context()
+    label = f"pid-{os.getpid()}"
     outcomes = []
     for key in keys:
         started = time.monotonic()
@@ -84,56 +87,8 @@ def _run_batch(func, context, keys, submitted, worker):
         except Exception as exc:
             outcomes.append(TaskOutcome(None, error=exc))
             continue
-        outcomes.append(TaskOutcome(value, started - submitted, worker))
+        outcomes.append(TaskOutcome(value, started - submitted, label))
     return outcomes
-
-
-def _thread_batch(func, context, keys, submitted):
-    return _run_batch(
-        func, context, keys, submitted,
-        threading.current_thread().name,
-    )
-
-
-class ThreadExecutor:
-    """A thread pool: no GIL-bound speedup, but exercises the parallel
-    result plumbing and overlaps any releases of the GIL."""
-
-    kind = "thread"
-
-    def __init__(self, jobs, batch_size=1):
-        self.jobs = max(2, int(jobs))
-        self.batch_size = max(1, int(batch_size))
-
-    def run_phase(self, context, func, keys):
-        keys = list(keys)
-        if not keys:
-            return []
-        batches = plan_batches(keys, self.batch_size)
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(batches)),
-            thread_name_prefix="xfd-worker",
-        ) as pool:
-            return _collect(
-                pool,
-                lambda batch: (
-                    _thread_batch, func, context, batch,
-                    time.monotonic(),
-                ),
-                batches,
-            )
-
-    def close(self):
-        pass
-
-
-def _process_batch(func, keys, submitted):
-    from repro.exec import worker
-
-    return _run_batch(
-        func, worker.get_context(), keys, submitted,
-        f"pid-{os.getpid()}",
-    )
 
 
 class ProcessExecutor:
@@ -214,8 +169,8 @@ class WarmProcessExecutor(ProcessExecutor):
     result has been received — so the worker is guaranteed to be in
     its receive loop and pipe writes cannot deadlock.  A worker death
     surfaces as ``BrokenExecutor`` outcomes for its in-flight batch
-    (transient, retried by the supervisor) and the slot respawns on
-    the next dispatch.
+    (transient, retried by the supervisor) and the slot respawns
+    before the next dispatch, within the same phase.
     """
 
     def __init__(self, jobs, batch_size=8, telemetry=None):
@@ -334,13 +289,16 @@ class WarmProcessExecutor(ProcessExecutor):
         attempts = getattr(
             getattr(context, "resilience", None), "attempts", None
         )
-        while len(self._workers) < min(self.jobs, len(batches)):
-            self._workers.append(self._spawn())
-
         results = [None] * len(batches)  # index -> [TaskOutcome]
         pending = list(range(len(batches)))
         busy = {}  # worker -> batch index
         while pending or busy:
+            # Top the complement up, at phase start and after a death:
+            # a lost worker costs only its own in-flight batch.
+            while pending and len(self._workers) < min(
+                self.jobs, len(batches)
+            ):
+                self._workers.append(self._spawn())
             # Dispatch to idle workers only — a worker whose previous
             # result was received is guaranteed to be blocked in its
             # receive loop, so pipe writes cannot deadlock.
@@ -359,20 +317,6 @@ class WarmProcessExecutor(ProcessExecutor):
                 # outcomes already; the loop just moves on.
             if busy:
                 self._reap(busy, batches, results)
-            elif pending:
-                # Every worker is gone mid-phase.  Surface the rest as
-                # broken-executor outcomes (transient): the supervisor
-                # retries them in a new wave, and the next run_phase
-                # respawns the complement.
-                error = concurrent.futures.BrokenExecutor(
-                    "no warm workers left"
-                )
-                for index in pending:
-                    results[index] = [
-                        TaskOutcome(None, error=error)
-                        for _key in batches[index]
-                    ]
-                pending = []
         ordered = []
         for outcomes in results:
             ordered.extend(outcomes)

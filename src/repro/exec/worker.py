@@ -2,11 +2,12 @@
 
 A *phase context* bundles everything every task of one phase reads and
 nothing it writes: the (telemetry-stripped) config, the workload, the
-delta snapshot store, shadow checkpoints.  With the thread executor it
-is shared by reference; with the process executor it travels into the
-children by fork inheritance through :func:`set_context` — it is never
-pickled.  Task keys and outcomes are the only values that cross the
-pickle boundary, and outcomes are built from plain data (trace
+delta snapshot store, shadow checkpoints.  The serial executor passes
+it by reference, the cold process executor hands it to its children by
+fork inheritance through :func:`set_context`, and the warm one ships a
+slimmed copy once per phase (``export_for_workers``).  Beyond that,
+task keys and outcomes are the only values that cross the pickle
+boundary, and outcomes are built from plain data (trace
 recorders, repr strings, bug records, a local metrics registry) so the
 parent can merge them deterministically in key order.
 
@@ -265,9 +266,10 @@ def run_post_task(ctx, key):
 class ReplayPhaseContext:
     """Read-only inputs of the checkpointed post-replay phase."""
 
-    __slots__ = ("config", "checkpoints", "runs", "resilience")
+    __slots__ = ("config", "checkpoints", "runs", "resilience", "audit")
 
-    def __init__(self, config, checkpoints, runs, resilience=None):
+    def __init__(self, config, checkpoints, runs, resilience=None,
+                 audit=None):
         self.config = config
         #: fid -> ShadowPM checkpoint captured at that FAILURE_POINT
         #: marker during the single pre-failure replay.
@@ -279,6 +281,9 @@ class ReplayPhaseContext:
         #: The phase's ``ResilienceContext``, or None when every
         #: resilience knob is off.
         self.resilience = resilience
+        #: The run's ``AuditLog`` (audit mode, serial only): each fork
+        #: records its transitions through a per-failure-point scope.
+        self.audit = audit
 
     def export_for_workers(self, plane):
         """The warm-pool shipping form: checkpoints and run traces are
@@ -316,10 +321,10 @@ class ReplayTaskOutcome:
     """One post-failure replay's findings, in picklable form."""
 
     __slots__ = ("fid", "variant", "bugs", "benign_races", "metrics",
-                 "seconds", "spans")
+                 "seconds", "spans", "stopped")
 
     def __init__(self, fid, variant, bugs, benign_races, metrics,
-                 seconds, spans=()):
+                 seconds, spans=(), stopped=False):
         self.fid = fid
         self.variant = variant
         self.bugs = bugs
@@ -331,11 +336,14 @@ class ReplayTaskOutcome:
         #: The task's own span tree (a ``post_replay`` root), grafted
         #: into the run profile by the coordinator.
         self.spans = list(spans)
+        #: ``fail_fast`` stopped this replay at its first cross-failure
+        #: bug (the last entry of ``bugs``).
+        self.stopped = stopped
 
 
 def run_replay_task(ctx, key):
     """Replay one post-failure trace against a forked shadow checkpoint."""
-    from repro.core.replay import TraceReplayer
+    from repro.core.replay import StopAnalysis, TraceReplayer
     from repro.core.report import DetectionReport
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
@@ -357,6 +365,10 @@ def run_replay_task(ctx, key):
                 fork = ctx.checkpoints[fid].fork_for_replay(
                     metrics.counter("shadow_transitions_total")
                 )
+            if ctx.audit is not None:
+                fork.audit = ctx.audit.scoped(
+                    stage="post", failure_point=fid
+                )
             metrics.inc(
                 "replays_roi_scoped" if has_roi
                 else "replays_whole_trace"
@@ -366,14 +378,18 @@ def run_replay_task(ctx, key):
                 fork, ctx.config, "post", shell,
                 failure_point=fid, has_roi=has_roi, metrics=metrics,
             )
+            stopped = False
             with spans.span("replay_events"):
                 # ``ctx.runs`` ships compiled replay programs (see
                 # ``repro.core.replay.lower_trace``), lowered once by
                 # the coordinator and reused across retries and forks.
-                replayer.run_program(program, deadline)
+                try:
+                    replayer.run_program(program, deadline)
+                except StopAnalysis:
+                    stopped = True
         return ReplayTaskOutcome(
             fid, variant, shell.bugs, shell.stats.benign_races, metrics,
-            root.duration, spans=spans.roots,
+            root.duration, spans=spans.roots, stopped=stopped,
         )
     finally:
         if watchdog is not None:

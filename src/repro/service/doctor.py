@@ -56,13 +56,20 @@ def find_orphan_segments():
         return []
     if not os.path.isdir("/dev/shm"):
         return []
+    # List before reading the maps: a segment created after the maps
+    # scan (and mapped by its creator a moment later) must not look
+    # like an orphan.
+    names = sorted(
+        name for name in os.listdir("/dev/shm")
+        if name.startswith(SHM_PREFIX)
+    )
     mapped = _mapped_shm_names()
     if mapped is None:
         return []
     orphans = []
     our_uid = os.getuid()
-    for name in sorted(os.listdir("/dev/shm")):
-        if not name.startswith(SHM_PREFIX) or name in mapped:
+    for name in names:
+        if name in mapped:
             continue
         path = os.path.join("/dev/shm", name)
         try:

@@ -76,9 +76,7 @@ class TestParallelDedupDeterminism:
             )
 
         serial_off = XFDetector(_config(False)).run(factory())
-        executor = (
-            "process" if ProcessExecutor.available() else "thread"
-        )
+        executor = "process"  # serial where fork is unavailable
         parallel_on = XFDetector(
             _config(True, jobs=4, executor=executor)
         ).run(factory())
@@ -104,9 +102,7 @@ class TestDedupFires:
         assert _content(on) == _content(off)
 
     def test_parallel_forced_duplicates_identical(self):
-        executor = (
-            "process" if ProcessExecutor.available() else "thread"
-        )
+        executor = "process"  # serial where fork is unavailable
         serial_off = XFDetector(_config(False)).run(
             ForcedDuplicates(test_size=3)
         )
@@ -146,8 +142,10 @@ class TestQuarantinedRepresentativeFallback:
         monkeypatch.setattr(
             frontend_mod, "run_post_task", flaky_run_post_task
         )
+        # Serial on purpose: the fault is a parent-side patch, and the
+        # asserted incident list is the serial schedule's.
         report = XFDetector(
-            _config(True, retry_backoff=0.0)
+            _config(True, retry_backoff=0.0, jobs=1)
         ).run(ForcedDuplicates(test_size=2))
         monkeypatch.setattr(frontend_mod, "run_post_task", original)
         clean = XFDetector(_config(True)).run(

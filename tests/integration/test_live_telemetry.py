@@ -23,8 +23,13 @@ def _workload():
     )
 
 
+needs_fork = pytest.mark.skipif(
+    not ProcessExecutor.available(), reason="needs the fork start method"
+)
+
+
 def _run(tmp_path, tag, jobs=1, executor="serial", progress=None,
-         prom=False):
+         prom=False, **extra):
     events_path = str(tmp_path / f"{tag}.ndjson")
     config_kwargs = {
         "jobs": jobs,
@@ -32,6 +37,7 @@ def _run(tmp_path, tag, jobs=1, executor="serial", progress=None,
         "events": events_path,
         "progress": progress,
         "heartbeat_interval": 0.01,
+        **extra,
     }
     prom_path = None
     if prom:
@@ -122,27 +128,29 @@ class TestLiveRun:
         ]
         assert obs_records == base_records
 
+    @needs_fork
     def test_event_stream_is_schedule_independent(self, tmp_path):
         _report, serial_events, _ = _run(tmp_path, "serial")
-        _report, thread_events, _ = _run(
-            tmp_path, "thread", jobs=4, executor="thread"
+        _report, process_events, _ = _run(
+            tmp_path, "process", jobs=4, executor="process"
         )
         assert normalized_stream(serial_events) \
-            == normalized_stream(thread_events)
-        if ProcessExecutor.available():
-            _report, process_events, _ = _run(
-                tmp_path, "process", jobs=4, executor="process"
-            )
-            assert normalized_stream(serial_events) \
-                == normalized_stream(process_events)
+            == normalized_stream(process_events)
+        _report, cold_events, _ = _run(
+            tmp_path, "cold", jobs=4, executor="process",
+            warm_pool=False,
+        )
+        assert normalized_stream(serial_events) \
+            == normalized_stream(cold_events)
 
 
+@needs_fork
 class TestWorkerSpans:
     def test_pool_workers_ship_span_trees(self):
         """The PR-3 blind spot: pooled runs used to lose all worker
         span detail.  Now every post_run tree arrives with its worker
         tag and its children intact."""
-        config = DetectorConfig(jobs=4, executor="thread")
+        config = DetectorConfig(jobs=4, executor="process")
         detector = XFDetector(config)
         report = detector.run(_workload())
         detector.telemetry.close()
@@ -159,7 +167,7 @@ class TestWorkerSpans:
             assert span.duration > 0
 
     def test_folded_output_covers_worker_trees(self):
-        config = DetectorConfig(jobs=2, executor="thread")
+        config = DetectorConfig(jobs=2, executor="process")
         detector = XFDetector(config)
         report = detector.run(_workload())
         detector.telemetry.close()

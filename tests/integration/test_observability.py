@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.bugsuite.registry import bug_entries, build_workload
 from repro.cli import main
 from repro.core import DetectorConfig, XFDetector
 from repro.obs import read_ndjson
@@ -130,20 +131,52 @@ class TestMetrics:
         assert metrics.value("replays_whole_trace") == 0
 
 
+def _assert_races_name_their_writers(report):
+    log = report.telemetry.audit
+    assert log is not None and len(log) > 0
+    races = report.races
+    assert races
+    for bug in races:
+        history = log.history_for(
+            bug.address, bug.size, bug.failure_point
+        )
+        assert history, bug
+        assert log.last_writer(
+            bug.address, bug.size, bug.failure_point
+        ) == str(bug.writer_ip), bug
+
+
+#: Faulty builds across the Table 4 workloads whose races all carry
+#: the writer of a logged FSM transition (a store that changes no
+#: persistence/consistency state leaves no audit record to name).
+AUDITED_FAULTS = [
+    "btree:skip_add_count", "ctree:skip_add_count",
+    "rbtree:skip_add_count", "hashmap_tx:skip_add_count",
+    "hashmap_tx:unpersisted_create_seed",
+    "hashmap_atomic:bug2_uninit_count",
+    "hashmap_atomic:nt_value_no_drain",
+]
+
+
 class TestAuditLog:
     def test_bug_range_history_names_the_writer(self, audited_report):
-        log = audited_report.telemetry.audit
-        assert log is not None and len(log) > 0
-        races = audited_report.races
-        assert races
-        for bug in races:
-            history = log.history_for(
-                bug.address, bug.size, bug.failure_point
-            )
-            assert history, bug
-            assert log.last_writer(
-                bug.address, bug.size, bug.failure_point
-            ) == str(bug.writer_ip), bug
+        _assert_races_name_their_writers(audited_report)
+
+    @pytest.mark.parametrize("fault", AUDITED_FAULTS)
+    def test_bug_range_history_names_the_writer_per_workload(
+        self, fault
+    ):
+        """The audit history is cut at each failure point's marker
+        and every fork records into its own scope, so the per-point
+        history names each race's writer on every workload."""
+        (bug,) = [
+            bug for bug in bug_entries()
+            if f"{bug.workload}:{bug.flag}" == fault
+        ]
+        report = XFDetector(DetectorConfig(audit=True)).run(
+            build_workload(bug)
+        )
+        _assert_races_name_their_writers(report)
 
     def test_records_carry_context(self, audited_report):
         log = audited_report.telemetry.audit

@@ -1,16 +1,26 @@
 """Executor determinism: reports are byte-identical at any pool width.
 
 The tentpole contract of ``repro.exec``: running the same workload with
-``jobs=1`` (serial), ``jobs=4`` on the thread pool, and ``jobs=4`` on
-the fork-based process pool yields identical bug lists, identical
-stats, and identical NDJSON records — modulo wall-clock timings, which
-are the *only* thing an executor is allowed to change.
+``jobs=1`` (serial) and ``jobs=4`` on the warm and the cold fork-based
+process pools yields identical bug lists, identical stats, and
+identical NDJSON records — modulo wall-clock timings, which are the
+*only* thing an executor is allowed to change.
 """
 
+import pytest
+
+from repro.bugsuite.registry import bug_entries, build_workload
 from repro.core import DetectorConfig, XFDetector
+from repro.core.frontend import Frontend
+from repro.core.report import BugKind, DetectionReport
+from repro.core.shadow_ref import reference_bugs
 from repro.exec import ProcessExecutor
 from repro.obs import run_records
-from repro.workloads import HashmapAtomicWorkload, HashmapTxWorkload
+from repro.workloads import (
+    MICROBENCHMARKS,
+    HashmapAtomicWorkload,
+    HashmapTxWorkload,
+)
 
 
 def _run(jobs, executor, make_workload, **config_kwargs):
@@ -18,6 +28,14 @@ def _run(jobs, executor, make_workload, **config_kwargs):
         jobs=jobs, executor=executor, **config_kwargs
     )
     return XFDetector(config).run(make_workload())
+
+
+#: (jobs, executor, extra config) legs every determinism check runs:
+#: the serial reference plus, where fork exists, both process pools.
+SCHEDULES = [(1, "serial", {})] + (
+    [(4, "process", {}), (4, "process", {"warm_pool": False})]
+    if ProcessExecutor.available() else []
+)
 
 
 def _report_dict(report):
@@ -67,11 +85,9 @@ class CrashingRecovery(HashmapAtomicWorkload):
 class TestExecutorDeterminism:
     def _compare(self, make_workload, **config_kwargs):
         reference = None
-        for jobs, executor in [(1, "serial"), (4, "thread")] + (
-            [(4, "process")] if ProcessExecutor.available() else []
-        ):
+        for jobs, executor, extra in SCHEDULES:
             report = _run(
-                jobs, executor, make_workload, **config_kwargs
+                jobs, executor, make_workload, **extra, **config_kwargs
             )
             snapshot = (
                 _report_dict(report), _ndjson_records(report)
@@ -120,9 +136,10 @@ class TestVariantPlanDeterminism:
         """Every executor runs the exact same crash-state variants:
         the (fid, variant) sequence and each run's trace length match
         the serial schedule."""
-        def collect(jobs, executor):
+        def collect(jobs, executor, extra):
             config = DetectorConfig(
-                jobs=jobs, executor=executor, crash_state_variants=3
+                jobs=jobs, executor=executor, crash_state_variants=3,
+                **extra,
             )
             from repro.core.frontend import Frontend
 
@@ -137,10 +154,9 @@ class TestVariantPlanDeterminism:
                 for run in result.post_runs
             ]
 
-        reference = collect(1, "serial")
-        assert collect(4, "thread") == reference
-        if ProcessExecutor.available():
-            assert collect(4, "process") == reference
+        reference = collect(*SCHEDULES[0])
+        for schedule in SCHEDULES[1:]:
+            assert collect(*schedule) == reference
         assert any(variant is not None for _f, variant, _n in reference)
 
 
@@ -198,16 +214,75 @@ class TestFailFastAccounting:
         )
 
 
+def _reference_cases():
+    """The oracle corpus: every Table 4 microbenchmark (clean, at
+    test size 3) and every seeded registry bug."""
+    cases = [
+        pytest.param(lambda cls=cls: cls(test_size=3), id=name)
+        for name, cls in MICROBENCHMARKS.items()
+    ]
+    cases += [
+        pytest.param(lambda bug=bug: build_workload(bug), id=str(bug))
+        for bug in bug_entries()
+    ]
+    return cases
+
+
+def _bug_dicts(workload_name, bugs):
+    report = DetectionReport(workload_name)
+    report.bugs = list(bugs)
+    return report.to_dict(unique=False)["bugs"]
+
+
 class TestCheckpointedEqualsInterleaved:
     def test_audit_schedule_matches_checkpointed_reports(self):
-        """The audit run (interleaved legacy schedule) and the default
-        checkpointed schedule produce identical bug lists."""
+        """An audited run (every replay recorded, no replay-level
+        dedup, the shadow's fast paths bypassed) and the default run
+        produce identical bug lists."""
         make = lambda: HashmapAtomicWorkload(
             faults={"skip_persist_count"}, test_size=3
         )
         checkpointed = XFDetector(DetectorConfig()).run(make())
-        interleaved = XFDetector(DetectorConfig(audit=True)).run(make())
+        audited = XFDetector(DetectorConfig(audit=True)).run(make())
         assert (
             _report_dict(checkpointed)["bugs"]
-            == _report_dict(interleaved)["bugs"]
+            == _report_dict(audited)["bugs"]
+        )
+
+    @pytest.mark.parametrize("make", _reference_cases())
+    def test_default_report_matches_reference_oracle(self, make):
+        """The checkpointed backend (dedup, memo, checkpoints) against
+        the interleaved schedule over the reference shadow, on one
+        shared frontend result."""
+        config = DetectorConfig()
+        detector = XFDetector(config)
+        result = Frontend(config, telemetry=detector.telemetry).run(
+            make()
+        )
+        report = detector.analyze(result)
+        assert report.to_dict(unique=False)["bugs"] == _bug_dicts(
+            result.workload_name, reference_bugs(result, config)
+        )
+
+
+class TestFailFastStop:
+    @pytest.mark.parametrize("make", _reference_cases())
+    def test_report_is_full_report_cut_after_first_race(self, make):
+        """``fail_fast`` yields the full bug list truncated right after
+        its first cross-failure bug, and replays nothing past it."""
+        full = XFDetector(DetectorConfig()).run(make())
+        fast = XFDetector(DetectorConfig(fail_fast=True)).run(make())
+        bugs = _report_dict(full)["bugs"]
+        stop = next(
+            (
+                index + 1 for index, bug in enumerate(full.bugs)
+                if bug.kind in (BugKind.CROSS_FAILURE_RACE,
+                                BugKind.CROSS_FAILURE_SEMANTIC)
+            ),
+            len(bugs),
+        )
+        assert _report_dict(fast)["bugs"] == bugs[:stop]
+        assert (
+            len(fast.telemetry.spans.find("post_replay"))
+            == fast.stats.post_runs_analyzed
         )

@@ -11,7 +11,6 @@ from repro.errors import CrashSummary, PostFailureCrash
 from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -46,19 +45,33 @@ class TestVariantMasks:
         )
 
 
+needs_fork = pytest.mark.skipif(
+    not ProcessExecutor.available(), reason="needs the fork start method"
+)
+
+
+class _Telemetry:
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+
+
 class TestResolveExecutor:
     def test_default_is_serial(self):
         config = DetectorConfig(jobs=1, executor="auto")
         assert isinstance(resolve_executor(config), SerialExecutor)
 
+    @needs_fork
     def test_jobs_enable_a_pool(self):
-        config = DetectorConfig(jobs=4, executor="thread")
+        config = DetectorConfig(jobs=4, executor="process")
         executor = resolve_executor(config)
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.jobs == 4
+        try:
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.jobs == 4
+        finally:
+            executor.close()
 
     def test_audit_forces_serial(self):
-        config = DetectorConfig(jobs=4, executor="thread", audit=True)
+        config = DetectorConfig(jobs=4, executor="process", audit=True)
         assert isinstance(resolve_executor(config), SerialExecutor)
 
     def test_fail_fast_forces_serial(self):
@@ -77,12 +90,34 @@ class TestResolveExecutor:
         if ProcessExecutor.available():
             assert isinstance(executor, ProcessExecutor)
         else:
-            assert isinstance(executor, ThreadExecutor)
+            assert isinstance(executor, SerialExecutor)
+        executor.close()
 
     def test_auto_prefers_a_pool(self):
         config = DetectorConfig(jobs=2, executor="auto")
         executor = resolve_executor(config)
-        assert isinstance(executor, (ProcessExecutor, ThreadExecutor))
+        expected = (
+            ProcessExecutor if ProcessExecutor.available()
+            else SerialExecutor
+        )
+        assert isinstance(executor, expected)
+        executor.close()
+
+    @pytest.mark.parametrize("kind", ["process", "auto"])
+    def test_no_fork_falls_back_to_serial(self, monkeypatch, kind):
+        monkeypatch.setattr(
+            ProcessExecutor, "available", staticmethod(lambda: False)
+        )
+        telemetry = _Telemetry()
+        executor = resolve_executor(
+            DetectorConfig(jobs=4, executor=kind), telemetry
+        )
+        assert isinstance(executor, SerialExecutor)
+        # Only an explicit process request is a visible fallback.
+        expected = 1 if kind == "process" else 0
+        assert telemetry.metrics.value(
+            "exec.fallback_to_serial"
+        ) == expected
 
     def test_unknown_kind_raises(self):
         config = DetectorConfig(jobs=2)
@@ -103,9 +138,12 @@ class TestEnvDefaults:
         assert DetectorConfig().jobs == 1
 
     def test_xfd_executor(self, monkeypatch):
-        monkeypatch.setenv("XFD_EXECUTOR", "thread")
-        assert DetectorConfig().executor == "thread"
+        monkeypatch.setenv("XFD_EXECUTOR", "process")
+        assert DetectorConfig().executor == "process"
         monkeypatch.setenv("XFD_EXECUTOR", "quantum")
+        assert DetectorConfig().executor == "auto"
+        # The retired thread pool is no longer a kind.
+        monkeypatch.setenv("XFD_EXECUTOR", "thread")
         assert DetectorConfig().executor == "auto"
 
 
@@ -119,16 +157,18 @@ class TestExecutorsRunPhases:
         assert [o.value for o in outcomes] == [6, 2, 4]
         assert all(o.worker == "main" for o in outcomes)
 
-    def test_thread_pool_preserves_key_order(self):
-        executor = ThreadExecutor(4)
+    @needs_fork
+    def test_process_pool_preserves_key_order(self):
+        executor = ProcessExecutor(4)
         keys = list(range(20))
-        outcomes = executor.run_phase(None, _double, keys)
+        outcomes = executor.run_phase(object(), _double, keys)
         assert [o.value for o in outcomes] == [k * 2 for k in keys]
         assert all(o.queue_wait >= 0.0 for o in outcomes)
+        assert all(o.worker.startswith("pid-") for o in outcomes)
         executor.close()
 
-    def test_thread_pool_empty_phase(self):
-        assert ThreadExecutor(2).run_phase(None, _double, []) == []
+    def test_process_pool_empty_phase(self):
+        assert ProcessExecutor(2).run_phase(None, _double, []) == []
 
 
 class TestMetricsMerge:

@@ -6,7 +6,6 @@ from repro.core.config import DetectorConfig
 from repro.exec import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WarmProcessExecutor,
     plan_batches,
     resolve_executor,
@@ -64,7 +63,8 @@ def _fail_odd(_context, key):
 
 
 class TestBatchedExecutors:
-    def test_thread_batched_matches_serial(self):
+    @needs_fork
+    def test_process_batched_matches_serial(self):
         keys = list(range(17))
         reference = [
             o.value for o in SerialExecutor().run_phase(
@@ -72,15 +72,16 @@ class TestBatchedExecutors:
             )
         ]
         for batch_size in (1, 4, 16, 100):
-            executor = ThreadExecutor(4, batch_size=batch_size)
-            outcomes = executor.run_phase(None, _double, keys)
+            executor = ProcessExecutor(4, batch_size=batch_size)
+            outcomes = executor.run_phase(object(), _double, keys)
             assert [o.value for o in outcomes] == reference
             executor.close()
 
+    @needs_fork
     def test_batch_error_stays_per_key(self):
         # One crashed task must not take its batchmates down.
-        executor = ThreadExecutor(2, batch_size=8)
-        outcomes = executor.run_phase(None, _fail_odd, list(range(6)))
+        executor = ProcessExecutor(2, batch_size=8)
+        outcomes = executor.run_phase(object(), _fail_odd, list(range(6)))
         assert [o.value for o in outcomes] == [0, None, 4, None, 8, None]
         assert [type(o.error) for o in outcomes[1::2]] == [ValueError] * 3
         executor.close()
@@ -183,14 +184,17 @@ class TestResolveWarm:
         finally:
             executor.close()
 
-    def test_thread_gets_batch_size(self):
+    @needs_fork
+    def test_cold_process_gets_batch_size(self):
         config = DetectorConfig(
-            jobs=2, executor="thread", batch_size=5
+            jobs=2, executor="process", warm_pool=False, batch_size=5
         )
         executor = resolve_executor(config)
-        assert isinstance(executor, ThreadExecutor)
-        assert executor.batch_size == 5
-        executor.close()
+        try:
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.batch_size == 5
+        finally:
+            executor.close()
 
 
 class TestEnvDefaults:

@@ -10,7 +10,7 @@ from repro.errors import (
     ReproError,
     TraversalLimitError,
 )
-from repro.exec import SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.resilience import (
     ChaosPolicy,
     Deadline,
@@ -246,26 +246,32 @@ class TestTraversalGuard:
         assert kind is IncidentKind.HARNESS_ERROR
 
 
-class TestExecutorErrorCapture:
-    def _boom(self, _context, key):
-        if key == 1:
-            raise ValueError("task 1 exploded")
-        return key * 10
+def _boom(_context, key):
+    if key == 1:
+        raise ValueError("task 1 exploded")
+    return key * 10
 
+
+class TestExecutorErrorCapture:
     def test_serial_executor_captures_per_task_errors(self):
-        outcomes = SerialExecutor().run_phase(None, self._boom, [0, 1, 2])
+        outcomes = SerialExecutor().run_phase(None, _boom, [0, 1, 2])
         assert [o.value for o in outcomes] == [0, None, 20]
         assert outcomes[1].error is not None
         assert "task 1 exploded" in str(outcomes[1].error)
 
-    def test_thread_executor_captures_per_task_errors(self):
-        executor = ThreadExecutor(2)
+    @pytest.mark.skipif(
+        not ProcessExecutor.available(),
+        reason="needs the fork start method",
+    )
+    def test_process_executor_captures_per_task_errors(self):
+        executor = ProcessExecutor(2)
         try:
-            outcomes = executor.run_phase(None, self._boom, [0, 1, 2])
+            outcomes = executor.run_phase(object(), _boom, [0, 1, 2])
         finally:
             executor.close()
         assert [o.value for o in outcomes] == [0, None, 20]
         assert isinstance(outcomes[1].error, ValueError)
+        assert "task 1 exploded" in str(outcomes[1].error)
 
 
 class _FlakyPhase:

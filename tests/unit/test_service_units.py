@@ -564,6 +564,40 @@ class TestDoctor:
         assert os.path.exists(report_path)  # reports are sacred
         assert [f["path"] for f in removed] == [shard_path]
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+        reason="orphan scan needs procfs and /dev/shm",
+    )
+    def test_segment_born_during_scan_is_not_an_orphan(
+        self, monkeypatch
+    ):
+        """A live run may create a segment while the doctor reads the
+        process maps; it must not be reported (and cleaned) as a
+        leak."""
+        from multiprocessing import shared_memory
+
+        from repro.service import doctor
+
+        born = []
+        scan = doctor._mapped_shm_names
+
+        def scan_then_create():
+            mapped = scan()
+            born.append(
+                shared_memory.SharedMemory(create=True, size=4096)
+            )
+            return mapped
+
+        monkeypatch.setattr(doctor, "_mapped_shm_names", scan_then_create)
+        try:
+            paths = [f["path"] for f in doctor.find_orphan_segments()]
+            assert born
+            assert os.path.join("/dev/shm", born[0].name) not in paths
+        finally:
+            for segment in born:
+                segment.close()
+                segment.unlink()
+
     def test_unfinished_job_untouched(self, tmp_path):
         from repro.service.doctor import diagnose
 
