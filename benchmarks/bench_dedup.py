@@ -2,9 +2,9 @@
 
 Two measurements, mirroring the two layers of ``repro.dedup``:
 
-* **End-to-end speedup** — full detection runs with
-  ``dedup``/``replay_memo`` on vs. off on the PMDK microbenchmarks at
-  a paper-realistic pool size.  The win is dominated by crash-image
+* **End-to-end speedup** — full detection runs with ``dedup`` (which
+  also switches the replay memo) on vs. off on the PMDK
+  microbenchmarks at a paper-realistic pool size.  The win is dominated by crash-image
   copy-elision (the memo's rolling per-worker buffers restore only the
   lines that changed between consecutive failure points, instead of
   three O(pool) copies per post-failure execution), so it grows with
@@ -58,9 +58,7 @@ IDENTITY_FAULTS = {
 
 
 def _config(enabled, **kwargs):
-    return DetectorConfig(
-        dedup=enabled, replay_memo=enabled, **kwargs
-    )
+    return DetectorConfig(dedup=enabled, **kwargs)
 
 
 def _content(report):

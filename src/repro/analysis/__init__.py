@@ -8,8 +8,6 @@ in the dynamic detector's severity taxonomy, plus:
 * :func:`analyze_trace` — the same rules over a recorded trace
   (offline mode, ``repro.trace.serialize`` format);
 * :func:`check_module` — lexical RoI/annotation hygiene checks;
-* :func:`build_prune_plan` — Silhouette-style failure-point pruning
-  facts for ``core.injector`` (``DetectorConfig.static_prune``);
 * :func:`infer_mechanisms` / :func:`analyze_mechanisms_workload` —
   trace-level mechanism inference (``repro.analysis.mech``) behind
   ``DetectorConfig.plan_mode`` and ``lint --mechanisms``;
@@ -45,11 +43,6 @@ from repro.analysis.plans import (
     CrashPlanSet,
     build_crash_plans,
 )
-from repro.analysis.pruning import (
-    PrunePlan,
-    build_prune_plan,
-    certified_lines,
-)
 from repro.analysis.rules import RULES, severity_of
 from repro.analysis.sarif import (
     findings_from_sarif,
@@ -67,15 +60,12 @@ __all__ = [
     "Finding",
     "MECH_EXPECTATIONS",
     "MechReport",
-    "PrunePlan",
     "RULES",
     "STATIC_EXPECTATIONS",
     "analyze_mechanisms_workload",
     "analyze_trace",
     "analyze_workload",
     "build_crash_plans",
-    "build_prune_plan",
-    "certified_lines",
     "check_module",
     "expected_mech_rules",
     "expected_rules",
@@ -109,11 +99,9 @@ def lint_workload(workload, **budgets):
             hygiene.extend(check_module(file))
         except (OSError, SyntaxError):
             continue
-    if not report.stats.incomplete:
-        report.stats.lines_certified = len(certified_lines(report))
     merged = AnalysisReport(
         report.target, list(report.findings) + hygiene, report.stats
     )
-    for attr in ("coverage", "uncertified", "unsafe_spans", "errors"):
+    for attr in ("coverage", "errors"):
         setattr(merged, attr, getattr(report, attr))
     return merged

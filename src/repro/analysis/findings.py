@@ -82,9 +82,8 @@ class AnalysisStats:
     steps: int = 0
     functions: int = 0
     lines_covered: int = 0
-    lines_certified: int = 0
     #: True when a budget (paths / steps / loop cap) cut exploration
-    #: short; pruning refuses to build a plan from incomplete analysis.
+    #: short, so a clean report is not proof of absence.
     incomplete: bool = False
 
     def to_dict(self):
@@ -93,7 +92,6 @@ class AnalysisStats:
             "steps": self.steps,
             "functions": self.functions,
             "lines_covered": self.lines_covered,
-            "lines_certified": self.lines_certified,
             "incomplete": self.incomplete,
         }
 

@@ -14,11 +14,10 @@ reachable branch are explored without any state forking — each path
 re-runs the unit from scratch and is deterministic given its prefix.
 
 Deliberate approximations (documented in ``docs/static-analysis.md``):
-generators and deep recursion return fresh symbols and poison their
-function span for pruning; symbolic array indices collapse to a
-deterministic representative offset *within the same region base* so
-TX-protection checks still line up; a scoped persist drains only its
-own range.
+generators and deep recursion return fresh symbols; symbolic array
+indices collapse to a deterministic representative offset *within the
+same region base* so TX-protection checks still line up; a scoped
+persist drains only its own range.
 """
 
 from __future__ import annotations
@@ -166,13 +165,12 @@ def _disp(k, slots=64):
 
 
 class _Frame:
-    __slots__ = ("file", "qual", "node", "env", "closure", "globals",
-                 "line", "span")
+    __slots__ = ("file", "qual", "env", "closure", "globals", "line",
+                 "span")
 
     def __init__(self, file, qual, node, env, closure, globs):
         self.file = file
         self.qual = qual
-        self.node = node
         self.env = env
         self.closure = closure
         self.globals = globs
@@ -217,13 +215,7 @@ class Interp:
         # Cross-path accumulators.
         self.findings = {}
         self.cov = set()
-        self.uncert = set()
-        self.unsafe_spans = set()
         self.fork_counts = {}
-        #: store/flush site -> enclosing function span, so a seg whose
-        #: persistence turns out incomplete can uncertify the right
-        #: lines long after its frame was popped.
-        self.store_spans = {}
         self.errors = []
         self.inlined_fns = set()
         self.stats = AnalysisStats()
@@ -231,8 +223,8 @@ class Interp:
     # -- top level -----------------------------------------------------
 
     def analyze(self):
-        self.run_unit("pre_failure", exit_checks=True, cert=True)
-        self.run_unit("post_failure", exit_checks=False, cert=False)
+        self.run_unit("pre_failure", exit_checks=True, cover=True)
+        self.run_unit("post_failure", exit_checks=False, cover=False)
         self.stats.functions = len(self.inlined_fns)
         self.stats.lines_covered = len(self.cov)
         report = AnalysisReport(
@@ -240,12 +232,10 @@ class Interp:
             list(self.findings.values()), self.stats,
         )
         report.coverage = frozenset(self.cov)
-        report.uncertified = frozenset(self.uncert)
-        report.unsafe_spans = frozenset(self.unsafe_spans)
         report.errors = list(self.errors)
         return report
 
-    def run_unit(self, name, exit_checks, cert):
+    def run_unit(self, name, exit_checks, cover):
         fn = getattr(type(self.workload), name, None)
         if fn is None:
             return
@@ -258,7 +248,7 @@ class Interp:
                 break
             prefix = pending.pop()
             decisions, newdecs = self._run_path(fn, prefix, exit_checks,
-                                                cert)
+                                                cover)
             self.stats.paths += 1
             for pos, site, n in newdecs:
                 count = self.fork_counts.get(site, 0)
@@ -271,7 +261,7 @@ class Interp:
                         seen.add(alt_prefix)
                         pending.append(alt_prefix)
 
-    def _run_path(self, fn, prefix, exit_checks, cert):
+    def _run_path(self, fn, prefix, exit_checks, cover):
         self.state = PMState()
         self.assumed = {}
         self.cmpmemo = {}
@@ -284,7 +274,7 @@ class Interp:
         self.decisions = list(prefix)
         self.dpos = 0
         self.newdecs = []
-        self.cert = cert
+        self.cover = cover
         aborted = False
         self.memoryv = M.ObjV(tag="memory")
         self.xfv = M.ObjV(tag="xf")
@@ -453,46 +443,9 @@ class Interp:
         )
 
     def _cover(self, file, first, last):
-        if self.cert:
+        if self.cover:
             for line in range(first, last + 1):
                 self.cov.add((file, line))
-
-    def _mark_uncert(self):
-        if self.cert and self.frames:
-            frame = self.frames[-1]
-            for line in range(frame.span[0], frame.span[1] + 1):
-                self.uncert.add((frame.file, line))
-
-    def _note_store_span(self, site):
-        """Remember the enclosing function span of a PM-op site so a
-        later incompleteness verdict can uncertify it (deferred
-        certification: a bare store is only guilty once it crosses a
-        bare fence dirty or reaches path exit non-persisted)."""
-        if self.cert and self.frames:
-            frame = self.frames[-1]
-            self.store_spans[site] = (
-                frame.file, frame.span[0], frame.span[1]
-            )
-
-    def _uncert_site(self, site):
-        if not self.cert or site is None:
-            return
-        span = self.store_spans.get(site)
-        if span is None:
-            self.uncert.add(site)
-            return
-        file, first, last = span
-        for line in range(first, last + 1):
-            self.uncert.add((file, line))
-
-    def _mark_unsafe_fn(self):
-        if self.cert and self.frames:
-            frame = self.frames[-1]
-            if frame.node is not None:
-                self.unsafe_spans.add((
-                    frame.file, frame.node.lineno,
-                    frame.node.end_lineno or frame.node.lineno,
-                ))
 
     def emit(self, rule, message, site=None, function=None, stack=None):
         file, line = site if site is not None else self._site()
@@ -503,14 +456,6 @@ class Interp:
             stack=stack if stack is not None else self._stack(),
         )
         self.findings.setdefault(finding.key(), finding)
-        # Findings poison their enclosing inline stack for pruning.
-        if self.cert:
-            for frame in self.frames:
-                if frame.node is not None:
-                    self.unsafe_spans.add((
-                        frame.file, frame.node.lineno,
-                        frame.node.end_lineno or frame.node.lineno,
-                    ))
 
     # -- address helpers -----------------------------------------------
 
@@ -540,32 +485,23 @@ class Interp:
         end = start + size
         file, line = self._site()
         in_lib = self.lib_depth > 0
-        if self.state.overlaps_commit(base, start, end):
-            self._mark_uncert()
         seg = Seg(DIRTY, store_site=(file, line),
                   store_fn=self.frames[-1].qual if self.frames else "",
                   store_stack=self._stack(), lib=in_lib)
         if nt:
             seg.status = NT
-            self._mark_uncert()
         elif in_lib:
-            pass  # trusted library write: no finding, certified
+            pass  # trusted library write: no finding
         elif self.state.tx is not None:
             seg.status = TXSTORED
             if not self.state.is_protected(base, start, end):
                 # Not logged *yet* — PMDK tolerates add-after-write,
                 # so defer the verdict until commit.
-                self._mark_uncert()
                 self.state.tx_pending.append(
                     (base, start, end, (file, line),
                      self.frames[-1].qual if self.frames else "",
                      self._stack())
                 )
-        else:
-            # Plain store outside tx/lib: certification is deferred —
-            # the line stays certified unless this seg later crosses a
-            # bare fence dirty or reaches path exit non-persisted.
-            self._note_store_span((file, line))
         self.state.write_seg(base, start, end, seg)
         self.state.stored_vals[(base, start, size)] = value
         self.state.load_memo.pop((base, start, size), None)
@@ -621,12 +557,10 @@ class Interp:
                         site=new.store_site, function=new.store_fn,
                         stack=new.store_stack,
                     )
-                    self._uncert_site(new.store_site)
                 new.status = FLUSHED
                 new.flush_site = (file, line)
                 new.flush_fn = self.frames[-1].qual if self.frames else ""
                 new.flush_stack = self._stack()
-                self._note_store_span((file, line))
             self.state.write_seg(base, lo, hi, new, purge=False)
 
     def op_fence(self, scope=None):
@@ -645,16 +579,6 @@ class Interp:
                 # ranges (e.g. a library-internal atomic word write)
                 # do not make an earlier dirty store suspicious.
                 seg.crossed = True
-                self._uncert_site(seg.store_site)
-            elif seg.status in (DIRTY, FLUSHED, NT) and not seg.lib:
-                # A scoped persist of an unrelated range is still a
-                # dynamic ordering point: a failure point may land on
-                # its fence while this data is in flight.  Not a
-                # finding, but the window must not be pruned.
-                self._uncert_site(
-                    seg.flush_site if seg.status == FLUSHED
-                    else seg.store_site
-                )
         if scope is None and not self.lib_depth and not pending:
             self.emit(
                 "XF-F002",
@@ -714,7 +638,6 @@ class Interp:
                 elif seg.status == DIRTY and not seg.lib \
                         and not seg.reported:
                     seg.crossed = True
-                    self._uncert_site(seg.store_site)
         self.state.clear_protections()
         self.state.tx = None
 
@@ -742,7 +665,6 @@ class Interp:
                     stack=seg.store_stack,
                 )
                 seg.reported = True
-                self._uncert_site(seg.store_site)
             elif seg.status == FLUSHED:
                 self.emit(
                     "XF-P002",
@@ -752,7 +674,6 @@ class Interp:
                     stack=seg.flush_stack,
                 )
                 seg.reported = True
-                self._uncert_site(seg.flush_site)
             elif seg.status == NT:
                 self.emit(
                     "XF-P004",
@@ -762,7 +683,6 @@ class Interp:
                     stack=seg.store_stack,
                 )
                 seg.reported = True
-                self._uncert_site(seg.store_site)
 
 
 def _concrete_cmp(op, a, b):
@@ -969,7 +889,6 @@ def _st_While(self, stmt):
             break
         iterations += 1
         if iterations > self.while_cap:
-            self._mark_unsafe_fn()
             forced = True
             break
         try:
@@ -1021,7 +940,6 @@ def _st_For(self, stmt):
             except _Continue:
                 continue
         else:
-            self._mark_unsafe_fn()
             forced = True
     if not broke and not forced:
         self.exec_body(stmt.orelse)
@@ -1901,10 +1819,8 @@ def call_function(self, fn, self_val, args, kwargs):
         )
     node, path = _fn_node(fn)
     if _has_yield(node):
-        self._skip_function(node, path)
         return self.fresh_sym("gen")
     if self.call_fns.count(fn) >= 2:
-        self._skip_function(node, path)
         return self.fresh_sym("rec")
     if len(self.frames) > 48:
         raise _Unsupported("inline stack too deep")
@@ -1924,14 +1840,6 @@ def call_function(self, fn, self_val, args, kwargs):
     finally:
         self.frames.pop()
         self.call_fns.pop()
-
-
-@_method
-def _skip_function(self, node, path):
-    if self.cert:
-        self.unsafe_spans.add(
-            (path, node.lineno, node.end_lineno or node.lineno)
-        )
 
 
 @_method
@@ -2472,10 +2380,8 @@ def _m_pool_lifecycle(self, args, kwargs, created):
     pool.attrs["root_cls"] = root_cls
     base = ("root", pool_name)
     if created:
-        # A fresh pool zero-initializes its root; but creating inside
-        # the measured stage is itself suspect for pruning purposes.
+        # A fresh pool zero-initializes its root.
         self.state.zeroed.add(base)
-        self._mark_uncert()
     return pool
 
 
@@ -2834,8 +2740,10 @@ _BUILTIN_IMPLS = {
 def analyze_workload(workload, **budgets):
     """Statically analyze one workload instance.
 
-    Returns an :class:`~repro.analysis.findings.AnalysisReport` whose
-    extra ``coverage`` / ``uncertified`` / ``unsafe_spans`` attributes
-    feed :mod:`repro.analysis.pruning`.
+    Returns an :class:`~repro.analysis.findings.AnalysisReport` with
+    two extra attributes: ``coverage``, the ``(file, line)`` pairs the
+    pre-failure unit executed (``lint_workload`` picks hygiene files
+    from it), and ``errors``, the unsupported constructs that made the
+    analysis incomplete.
     """
     return Interp(workload, **budgets).analyze()

@@ -900,7 +900,6 @@ def analyze_mechanisms_workload(workload, config=None):
         config = DetectorConfig(
             inject_failures=False,
             dedup=False,
-            replay_memo=False,
             progress=False,
         )
     result = Frontend(config).run(workload)
@@ -916,7 +915,6 @@ def analyze_mechanisms_workload(workload, config=None):
             steps=mech.events_seen,
             functions=0,
             lines_covered=0,
-            lines_certified=0,
         ),
     )
     report.mech = mech

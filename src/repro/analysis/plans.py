@@ -16,7 +16,7 @@ everything in between recovers identically.  A :class:`CrashPlan`
 keeps exactly those failure points; a :class:`CrashPlanSet` is the
 per-run union that :meth:`FailureInjector.apply_crash_plan` consumes.
 
-Conservatism rules (the same spirit as ``pruning.py``):
+Conservatism rules:
 
 * epochs carrying an invariant violation (``XF-M*``) are *poisoned*
   and keep every failure point — a buggy mechanism's contract proves

@@ -146,15 +146,6 @@ class DetectorConfig:
     #: TX_ADD).
     report_perf_bugs: bool = True
 
-    #: Silhouette-style static pruning: run ``repro.analysis`` over the
-    #: workload before the pre-failure stage and skip failure points
-    #: whose interval since the last recorded one contains only PM
-    #: operations from statically certified (persistence-complete)
-    #: lines.  Conservative: an incomplete analysis prunes nothing, and
-    #: forced failure points are never pruned.  Pruned counts surface as
-    #: the ``injector.pruned_static`` metric.
-    static_prune: bool = False
-
     #: How the post-failure stage picks which failure points to
     #: execute.  ``exhaustive`` (the paper's schedule) runs every
     #: injected point; ``mechanism`` runs mechanism inference
@@ -220,19 +211,16 @@ class DetectorConfig:
     #: failure point's crash image incrementally, run only one
     #: post-failure execution/replay per equivalence class, and clone
     #: the findings onto the other members with per-member provenance.
-    #: Reports stay content-identical to a dedup-off run modulo the
-    #: skipped-work counters.  CLI ``run --no-dedup`` / env
-    #: ``XFD_DEDUP=0`` disable it (needed only when a workload's
-    #: recovery is deliberately non-deterministic).
+    #: The same switch turns on replay-prefix memoization: per-worker
+    #: rolling crash-image buffers advanced by per-failure-point deltas
+    #: (O(delta) instead of O(pool) image work per post-failure task),
+    #: and shadow checkpoints captured only at failure points with live
+    #: replays (skipped ones are rebuilt on demand).  Reports stay
+    #: content-identical to a dedup-off run modulo the skipped-work
+    #: counters.  CLI ``run --no-dedup`` / env ``XFD_DEDUP=0`` disable
+    #: it (needed only when a workload's recovery is deliberately
+    #: non-deterministic).
     dedup: bool = field(default_factory=_default_dedup)
-
-    #: Replay-prefix memoization: per-worker rolling crash-image
-    #: buffers advanced by per-failure-point deltas (O(delta) instead
-    #: of O(pool) image work per post-failure task), and shadow
-    #: checkpoints captured only at failure points with live replays
-    #: (skipped ones are rebuilt on demand).  Same escape hatches as
-    #: ``dedup``.
-    replay_memo: bool = field(default_factory=_default_dedup)
 
     #: Record every shadow-PM persistence/consistency FSM transition in
     #: an audit log (``repro.obs.AuditLog``) with address range,

@@ -189,7 +189,6 @@ class XFDetector:
         stats = report.stats
         audit = tel.audit
         dedup_on = getattr(self.config, "dedup", False)
-        memo_on = getattr(self.config, "replay_memo", False)
         replay_dedup = (
             dedup_on and audit is None and not self.config.fail_fast
         )
@@ -264,7 +263,7 @@ class XFDetector:
                     insert_at[fid] = len(report.bugs)
                     if audit is not None and fid in runs_at:
                         audit.mark_fork(fid)
-                    need_live = not (dedup_on and memo_on)
+                    need_live = not dedup_on
                     digests = {}
                     for task_index in runs_at.get(fid, ()):
                         run = tasks[task_index]

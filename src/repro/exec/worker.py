@@ -185,7 +185,7 @@ def run_post_task(ctx, key):
             # legacy materialize path — its base image is the strict
             # view, which the memo's working buffer does not model.
             use_memo = (
-                getattr(config, "replay_memo", False)
+                getattr(config, "dedup", False)
                 and config.crash_image_mode is CrashImageMode.AS_WRITTEN
                 and hasattr(ctx.store, "deltas")
             )

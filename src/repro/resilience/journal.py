@@ -45,7 +45,7 @@ JOURNAL_VERSION = 1
 _CHECKSUM_FIELDS = (
     "inject_failures", "crash_image_mode", "platform",
     "trust_allocator_zeroing", "first_read_only",
-    "skip_empty_failure_points", "report_perf_bugs", "static_prune",
+    "skip_empty_failure_points", "report_perf_bugs",
     "crash_state_variants", "max_failure_points",
 )
 

@@ -93,7 +93,15 @@ class Scheduler:
             record = self.store.load(job_id)
             if record.finished:
                 continue
-            spec = self.store.load_spec(job_id)
+            try:
+                spec = self.store.load_spec(job_id)
+            except (OSError, ValueError) as exc:
+                # SpecError and bad JSON are ValueErrors.  One job this
+                # daemon cannot read (e.g. a spec field an older
+                # version wrote) fails alone; the others still recover.
+                record.advance("FAILED", f"unreadable job spec: {exc}")
+                self.store.save(record)
+                continue
             recovered = 0
             for shard in record.shards:
                 if shard.status == "running":

@@ -42,7 +42,6 @@ class JobSpec:
     test_size: int = 4
     #: Detection knobs (checksum-relevant: identical on every shard).
     crash_state_variants: int = 0
-    static_prune: bool = False
     plan_mode: str | None = None
     max_failure_points: int | None = None
     strict_image: bool = False
@@ -124,7 +123,6 @@ class JobSpec:
                 else CrashImageMode.AS_WRITTEN
             ),
             "crash_state_variants": self.crash_state_variants,
-            "static_prune": self.static_prune,
             "max_failure_points": self.max_failure_points,
             "report_perf_bugs": self.report_perf_bugs,
             # The daemon is headless: no TTY progress line, and chaos

@@ -29,7 +29,7 @@ def _content(report):
 
 
 def _config(enabled, **kwargs):
-    return DetectorConfig(dedup=enabled, replay_memo=enabled, **kwargs)
+    return DetectorConfig(dedup=enabled, **kwargs)
 
 
 class ForcedDuplicates(Workload):
@@ -192,11 +192,11 @@ class TestNoDedupEscapeHatch:
         monkeypatch.setenv("XFD_DEDUP", "0")
         config = DetectorConfig()
         assert config.dedup is False
-        assert config.replay_memo is False
         monkeypatch.setenv("XFD_DEDUP", "1")
         config = DetectorConfig()
         assert config.dedup is True
-        assert config.replay_memo is True
+        # One switch: replay memoization has no field of its own.
+        assert not hasattr(config, "replay_memo")
 
 
 class TestDescribe:

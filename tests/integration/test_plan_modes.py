@@ -87,6 +87,14 @@ class TestSoundness:
         baseline = _run(workload, **params)
         planned = _run(workload, plan_mode=mode, **params)
         assert _bugset(planned) == _bugset(baseline)
+        # The plan partitions the failure points exactly: every point
+        # is either executed or plan-skipped, never both.
+        stats = planned.stats
+        assert (
+            stats.failure_points_executed
+            + stats.failure_points_skipped_by_plan
+            == stats.failure_points
+        )
 
     def test_seeded_mechanism_bugs_survive_the_collapse(self):
         from repro.bugsuite import build_workload, mech_bug_entries

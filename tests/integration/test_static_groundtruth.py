@@ -52,7 +52,7 @@ class TestNoFalsePositives:
         assert not report.stats.incomplete
 
     # Dynamic-only faults alter runtime behaviour in ways the
-    # interpreter's certification model deliberately tolerates; they
+    # interpreter's persistence model deliberately tolerates; they
     # must not be misflagged.  A representative slice keeps suite
     # runtime bounded; the benchmark sweeps all of them.
     SPOT = [

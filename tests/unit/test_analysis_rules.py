@@ -8,7 +8,6 @@ import pytest
 from repro.analysis import (
     analyze_trace,
     analyze_workload,
-    build_prune_plan,
     check_module,
     lint_workload,
 )
@@ -171,26 +170,6 @@ class TestInterpreterRules:
         assert finding.line > 0
         assert "pre_failure" in finding.function
         assert finding.location.endswith(f":{finding.line}")
-
-
-class TestPrunePlan:
-    def test_clean_workload_builds_a_plan(self):
-        plan = build_prune_plan(CleanStorePersist())
-        assert plan is not None
-        assert len(plan) > 0
-
-    def test_flagged_workload_builds_no_plan(self):
-        # Any finding disables pruning: flagged code may leave data
-        # unpersisted arbitrarily early, so no window is safe.
-        assert build_prune_plan(UnflushedStore()) is None
-
-    def test_plan_certifies_only_known_lines(self):
-        from repro._location import SourceLocation
-
-        plan = build_prune_plan(CleanStorePersist())
-        assert not plan.certifies(
-            SourceLocation("nowhere.py", 1, "f")
-        )
 
 
 HYGIENE_UNBALANCED = '''

@@ -150,6 +150,38 @@ class TestJobStore:
         assert len(ids) == 3
 
 
+class TestSchedulerRecovery:
+    def test_unreadable_spec_fails_one_job_not_the_daemon(
+            self, tmp_path, monkeypatch):
+        from repro.obs import Telemetry
+        from repro.service.scheduler import Scheduler
+
+        store = JobStore(str(tmp_path))
+        stale = store.create(JobSpec(workload="btree"))
+        good = store.create(JobSpec(workload="ctree"))
+        for record in (stale, good):
+            record.advance("RUNNING")
+            store.save(record)
+        # A spec persisted by an older daemon that knew a field this
+        # version dropped.
+        path = store.spec_path(stale.job_id)
+        with open(path) as handle:
+            data = json.load(handle)
+        data["static_prune"] = False
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+
+        scheduler = Scheduler(store, telemetry=Telemetry())
+        monkeypatch.setattr(scheduler.fleet, "start", lambda: None)
+        scheduler.start()
+
+        assert list(scheduler.jobs) == [good.job_id]
+        failed = store.load(stale.job_id)
+        assert failed.state == "FAILED" and failed.finished
+        assert "static_prune" in failed.detail
+        assert store.load(good.job_id).state == "RUNNING"
+
+
 # ----------------------------------------------------------------------
 # Shard planning
 # ----------------------------------------------------------------------
