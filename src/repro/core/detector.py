@@ -256,37 +256,42 @@ class XFDetector:
             # ``run_program`` uses) so the marker handling can stay
             # inline without re-testing every instruction twice.
             dispatch = pre_replayer._dispatch
-            for instr in pre_program:
-                code, addr, size, info, ip, tid = instr
-                if code == _FP_CODE:
-                    fid = int(info)
-                    insert_at[fid] = len(report.bugs)
-                    if audit is not None and fid in runs_at:
-                        audit.mark_fork(fid)
-                    need_live = not dedup_on
-                    digests = {}
-                    for task_index in runs_at.get(fid, ()):
-                        run = tasks[task_index]
-                        if getattr(run, "journal_entry", None) is not None:
-                            continue
-                        cid = getattr(run, "dedup_class", None)
-                        readset = readsets.get(cid)
-                        if readset is not None:
-                            digest = digests.get(cid)
-                            if digest is None:
-                                digest = shadow.region_digest(readset)
-                                digests[cid] = digest
-                            source = replay_seen.get((cid, digest))
-                            if source is not None:
-                                clone_of[task_index] = source
+            with tel.span("pre_replay"):
+                for instr in pre_program:
+                    code, addr, size, info, ip, tid = instr
+                    if code == _FP_CODE:
+                        fid = int(info)
+                        insert_at[fid] = len(report.bugs)
+                        if audit is not None and fid in runs_at:
+                            audit.mark_fork(fid)
+                        need_live = not dedup_on
+                        digests = {}
+                        for task_index in runs_at.get(fid, ()):
+                            run = tasks[task_index]
+                            if getattr(
+                                run, "journal_entry", None
+                            ) is not None:
                                 continue
-                            replay_seen[(cid, digest)] = task_index
-                        need_live = True
-                    if need_live:
-                        checkpoints.capture(fid, shadow)
-                    else:
-                        checkpoints.note_skipped(fid)
-                dispatch[code](addr, size, info, ip, tid)
+                            cid = getattr(run, "dedup_class", None)
+                            readset = readsets.get(cid)
+                            if readset is not None:
+                                digest = digests.get(cid)
+                                if digest is None:
+                                    digest = shadow.region_digest(
+                                        readset
+                                    )
+                                    digests[cid] = digest
+                                source = replay_seen.get((cid, digest))
+                                if source is not None:
+                                    clone_of[task_index] = source
+                                    continue
+                                replay_seen[(cid, digest)] = task_index
+                            need_live = True
+                        if need_live:
+                            checkpoints.capture(fid, shadow)
+                        else:
+                            checkpoints.note_skipped(fid)
+                    dispatch[code](addr, size, info, ip, tid)
             pre_bugs = list(report.bugs)
             for bug in pre_bugs:
                 _emit_finding(tel, bug)

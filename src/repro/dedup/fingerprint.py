@@ -6,8 +6,16 @@ failure point would cost O(pool) each time — exactly the cost the
 delta snapshot store exists to avoid — so the fingerprint is kept
 incrementally as an **XOR fold** of per-line hashes:
 
-    fold(f) = H(base image) ^ XOR over ever-touched lines of
+    fold(f) = B ^ XOR over ever-touched lines of
               H(offset ‖ current line content)
+
+``B`` names the base image.  ``SnapshotStore.capture`` records each
+pool's base image exactly once per store, so every fingerprint of that
+pool in the store starts from the same base and ``B`` is a per-store
+constant (:data:`STORE_BASE_TERM`): no byte of the base is hashed.
+``SnapshotStore.capture_full`` records a full image per failure point,
+so there ``B = H(base image)`` (:func:`blob_hash`).  Fingerprints are
+only ever compared within one store.
 
 When a capture touches a line, its previous term is XORed out and the
 new one XORed in: O(dirty lines) per failure point, like the snapshot
@@ -16,12 +24,13 @@ final per-line contents, not on the update sequence.
 
 Soundness is one-directional by construction: **equal folds imply
 equal images** (up to a 128-bit hash collision) — equal folds mean the
-same multiset of per-line terms, hence the same touched-line set with
-the same contents, and untouched lines equal the shared base.  The
-converse can fail: a line rewritten back to its base content still
-carries a term the untouched image lacks, so two equal images may have
-different folds.  That direction only costs a missed dedup — never a
-wrong merge — which is the correct failure mode for an optimization.
+same base term and the same multiset of per-line terms, hence the same
+touched-line set with the same contents, and untouched lines equal the
+shared base.  The converse can fail: a line rewritten back to its base
+content still carries a term the untouched image lacks, so two equal
+images may have different folds.  That direction only costs a missed
+dedup — never a wrong merge — which is the correct failure mode for an
+optimization.
 """
 
 from __future__ import annotations
@@ -49,6 +58,14 @@ def blob_hash(content):
     return int.from_bytes(digest.digest(), "little")
 
 
+#: The fold term of the one base image a store's ``capture`` records
+#: per pool; domain-separated from every :func:`blob_hash` term.
+STORE_BASE_TERM = int.from_bytes(
+    hashlib.blake2b(b"store-base\x00", digest_size=DIGEST_SIZE).digest(),
+    "little",
+)
+
+
 class PoolFold:
     """The incremental fingerprint state of one pool.
 
@@ -67,15 +84,27 @@ class PoolFold:
         self._line_data = {}  # offset -> current term
         self._line_persist = {}
 
+    def _restart(self, data_term, persist_term):
+        self.data_fold = data_term
+        self.persist_fold = persist_term
+        self._line_data.clear()
+        self._line_persist.clear()
+
+    def reset_base(self):
+        """Restart the fold from the store's one recorded base image of
+        this pool (:data:`STORE_BASE_TERM`).
+
+        Returns the number of bytes hashed: none.
+        """
+        self._restart(STORE_BASE_TERM, STORE_BASE_TERM)
+        return 0
+
     def reset_full(self, data, persisted):
         """Restart the fold from a full base image.
 
         Returns the number of bytes hashed.
         """
-        self.data_fold = blob_hash(data)
-        self.persist_fold = blob_hash(persisted)
-        self._line_data.clear()
-        self._line_persist.clear()
+        self._restart(blob_hash(data), blob_hash(persisted))
         return len(data) + len(persisted)
 
     def update_line(self, offset, data, persisted):

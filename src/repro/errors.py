@@ -149,6 +149,12 @@ class JournalMismatchError(JournalError):
     be trusted to splice into this report."""
 
 
+class TraceFormatError(ReproError, ValueError):
+    """A serialized trace is malformed: truncated, corrupt, or padded
+    with trailing bytes.  Also a ``ValueError``, which the loaders
+    raised before this type existed."""
+
+
 class AnnotationError(DetectorError):
     """Misuse of the Table 2 annotation interface (e.g. unbalanced RoI)."""
 

@@ -34,6 +34,14 @@ class LineState(enum.Enum):
     PERSISTED = "P"
 
 
+#: States whose line a crash may independently keep or lose.
+_VOLATILE_STATES = frozenset(
+    (LineState.MODIFIED, LineState.WRITEBACK_PENDING)
+)
+
+_ZERO_LINE = bytes(CACHE_LINE_SIZE)
+
+
 class PlatformMode(enum.Enum):
     """Persistence domain of the platform.
 
@@ -96,9 +104,14 @@ class CacheModel:
         self.platform = platform
         self._states = {}  # line base -> LineState
         self._media = {}  # line base -> bytes (last persisted contents)
-        # Lines touched since the last completed fence; lets the fence
-        # know whether it completed any writeback (= ordering point).
+        # Lines queued for writeback since the last completed fence;
+        # lets the fence know whether it completed any writeback (=
+        # ordering point).  A later store can move a queued line back
+        # to MODIFIED without removing it, so the fence re-checks.
         self._pending = set()
+        # Lines in a _VOLATILE_STATES state, kept as the states change
+        # so a capture reads them without scanning every tracked line.
+        self._volatile = set()
         # eADR: stores since the last fence (a fence ordering at least
         # one store is an ordering point there).
         self._stores_since_fence = False
@@ -117,8 +130,15 @@ class CacheModel:
         return self._states.get(line_of(address), LineState.UNMODIFIED)
 
     def line_states(self):
-        """Snapshot of all non-UNMODIFIED line states (for tests)."""
+        """Copy of every tracked line's state.  For tests only: it is
+        O(tracked lines), so library code reads
+        :meth:`volatile_lines` instead."""
         return dict(self._states)
+
+    def volatile_lines(self):
+        """The lines currently MODIFIED or WRITEBACK_PENDING (a live
+        set: do not mutate)."""
+        return self._volatile
 
     def persisted_line(self, line_base):
         """Last persisted contents of a line, or None if it was never
@@ -160,10 +180,12 @@ class CacheModel:
             for line in AddressRange(address, size).lines():
                 self._media[line] = bytes(self._read_line(line))
                 self._states[line] = LineState.PERSISTED
+                self._volatile.discard(line)
                 self._touched.add(line)
             return
         for line in AddressRange(address, size).lines():
             self._states[line] = LineState.MODIFIED
+            self._volatile.add(line)
             self._touched.add(line)
 
     def nt_store(self, address, size):
@@ -176,6 +198,7 @@ class CacheModel:
         for line in AddressRange(address, size).lines():
             self._states[line] = LineState.WRITEBACK_PENDING
             self._pending.add(line)
+            self._volatile.add(line)
             self._touched.add(line)
 
     def flush(self, address, kind=FlushKind.CLWB):
@@ -194,6 +217,7 @@ class CacheModel:
                 self._media[line] = bytes(self._read_line(line))
                 self._states[line] = LineState.PERSISTED
                 self._pending.discard(line)
+                self._volatile.discard(line)
                 self._touched.add(line)
             return useful
         if state is LineState.MODIFIED:
@@ -207,19 +231,22 @@ class CacheModel:
     def fence(self, kind=FenceKind.SFENCE):
         """An ordering fence: complete every pending writeback.
 
-        Returns the list of line base addresses whose writeback this
+        Returns the sorted line base addresses whose writeback this
         fence completed.  A non-empty list makes this fence an *ordering
         point* in the detector's sense (paper Section 4.2).
         """
         self._stores_since_fence = False
         completed = []
-        for line, state in list(self._states.items()):
-            if state is LineState.WRITEBACK_PENDING:
+        states = self._states
+        for line in self._pending:
+            if states.get(line) is LineState.WRITEBACK_PENDING:
                 self._media[line] = bytes(self._read_line(line))
-                self._states[line] = LineState.PERSISTED
+                states[line] = LineState.PERSISTED
+                self._volatile.discard(line)
                 completed.append(line)
                 self._touched.add(line)
         self._pending.clear()
+        completed.sort()
         return completed
 
     # ------------------------------------------------------------------
@@ -242,9 +269,26 @@ class CacheModel:
         self._states = dict(states)
         self._media = dict(media)
         self._pending = set(pending)
+        self._volatile = {
+            line for line, state in self._states.items()
+            if state in _VOLATILE_STATES
+        }
         self._stores_since_fence = stores_since_fence
         self._touched.update(self._states)
         self._touched.update(self._media)
+
+    def _crash_line(self, line):
+        """What a crash leaves on ``line`` where that differs from the
+        program view: its last persisted contents, zero-fill for a
+        volatile line never persisted, or None (keep the program
+        view)."""
+        state = self._states.get(line)
+        if state is None or state is LineState.UNMODIFIED:
+            return None
+        media = self._media.get(line)
+        if media is None and state is not LineState.PERSISTED:
+            return _ZERO_LINE
+        return media
 
     def persisted_only_overlay(self, base, size, current):
         """Build the strict crash contents for ``[base, base+size)``.
@@ -257,29 +301,30 @@ class CacheModel:
         freshly created pool file).  UNMODIFIED lines keep their current
         contents — nothing volatile is outstanding for them.
         """
-        out = bytearray(current)
-        window = AddressRange(base, size)
-        # Only lines the model has seen can differ from the program
-        # view; iterating the tracked lines keeps snapshots O(dirty)
-        # instead of O(pool size).
-        for line, state in self._states.items():
-            if state is LineState.UNMODIFIED:
+        end = base + size
+        if line_of(base) == base and size <= CACHE_LINE_SIZE:
+            # One line (a delta capture): a single lookup.
+            media = self._crash_line(base)
+            return bytes(current) if media is None else media[:size]
+        # Only tracked lines can differ from the program view.  Splice
+        # the window from slices of ``current`` and the reverted lines,
+        # in address order: one copy of the window, however many lines
+        # revert.
+        view = memoryview(current)
+        pieces = []
+        done = 0  # window offset the pieces cover so far
+        for line in sorted(self._states):
+            media = self._crash_line(line)
+            if media is None:
                 continue
-            if line + CACHE_LINE_SIZE <= base or line >= base + size:
+            start = max(line, base)
+            stop = min(line + CACHE_LINE_SIZE, end)
+            if start >= stop:
                 continue
-            media = self._media.get(line)
-            if state is LineState.PERSISTED and media is None:
-                continue
-            replacement = media if media is not None else bytes(
-                CACHE_LINE_SIZE
-            )
-            piece = window.intersection(
-                AddressRange(line, CACHE_LINE_SIZE)
-            )
-            if piece is None:
-                continue
-            for i in range(piece.size):
-                out[piece.start - base + i] = replacement[
-                    piece.start - line + i
-                ]
-        return bytes(out)
+            pieces.append(view[done:start - base])
+            pieces.append(media[start - line:stop - line])
+            done = stop - base
+        if not pieces:
+            return bytes(current)
+        pieces.append(view[done:])
+        return b"".join(pieces)

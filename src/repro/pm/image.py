@@ -88,13 +88,10 @@ class PMImage:
 def volatile_lines_for(pool, cache):
     """Offsets (from ``pool.base``) of lines whose contents were not
     guaranteed persistent under ``cache`` — the enumerable crash bits."""
-    from repro.pm.cacheline import LineState
-
+    base, end = pool.base, pool.end
     return tuple(sorted(
-        line - pool.base
-        for line, state in cache.line_states().items()
-        if state in (LineState.MODIFIED, LineState.WRITEBACK_PENDING)
-        and pool.base <= line < pool.end
+        line - base for line in cache.volatile_lines()
+        if base <= line < end
     ))
 
 

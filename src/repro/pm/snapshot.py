@@ -210,7 +210,7 @@ class SnapshotStore:
             self.full_equivalent_bytes += 2 * pool.size
         fid = len(self._snapshots)
         self._snapshots.append(deltas)
-        self._fingerprint_capture(deltas)
+        self._fingerprint_capture(deltas, hash_full=False)
         return fid
 
     def capture_full(self, images):
@@ -228,12 +228,17 @@ class SnapshotStore:
             self.full_equivalent_bytes += 2 * image.size
         fid = len(self._snapshots)
         self._snapshots.append(deltas)
-        self._fingerprint_capture(deltas)
+        self._fingerprint_capture(deltas, hash_full=True)
         return fid
 
-    def _fingerprint_capture(self, deltas):
+    def _fingerprint_capture(self, deltas, hash_full):
         """Fold the just-captured deltas into the per-pool fingerprints
-        and record the new failure point's fingerprint tuple."""
+        and record the new failure point's fingerprint tuple.
+
+        ``hash_full`` is False for :meth:`capture`, which records each
+        pool's full image once per store, so its fold starts from a
+        constant; :meth:`capture_full` records a full image at every
+        failure point and must hash it."""
         if not self.fingerprints:
             self._records.append(None)
             return
@@ -244,15 +249,17 @@ class SnapshotStore:
             fold = self._folds.get(delta.pool_name)
             if fold is None:
                 fold = self._folds[delta.pool_name] = PoolFold()
-            if delta.full is not None:
-                self.hashed_bytes += fold.reset_full(
-                    delta.full.data, delta.full.persisted_data
-                )
-            else:
+            if delta.full is None:
                 for offset, data, persisted in delta.lines:
                     self.hashed_bytes += fold.update_line(
                         offset, data, persisted
                     )
+            elif hash_full:
+                self.hashed_bytes += fold.reset_full(
+                    delta.full.data, delta.full.persisted_data
+                )
+            else:
+                self.hashed_bytes += fold.reset_base()
             record.append(
                 (delta.pool_name,) + fold.record(delta.volatile_lines)
             )

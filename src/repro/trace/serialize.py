@@ -30,7 +30,8 @@ import sys
 from array import array
 
 from repro._location import UNKNOWN_LOCATION, SourceLocation, intern_location
-from repro.trace.events import EventKind, TraceEvent
+from repro.errors import TraceFormatError
+from repro.trace.events import KIND_BY_CODE, EventKind, TraceEvent
 
 
 def format_event(event):
@@ -109,10 +110,22 @@ def _write_str(out, text):
     out.append(data)
 
 
-def _read_str(buf, offset):
-    (length,) = _U32.unpack_from(buf, offset)
-    offset += 4
-    return buf[offset:offset + length].decode("utf-8"), offset + length
+def _read_u32(buf, offset, what):
+    if offset + 4 > len(buf):
+        raise TraceFormatError(f"packed trace truncated in {what}")
+    return _U32.unpack_from(buf, offset)[0], offset + 4
+
+
+def _read_str(buf, offset, what):
+    length, offset = _read_u32(buf, offset, what)
+    end = offset + length
+    if end > len(buf):
+        raise TraceFormatError(f"packed trace truncated in {what}")
+    try:
+        text = str(buf[offset:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"invalid UTF-8 in {what}: {exc}") from None
+    return text, end
 
 
 def dump_packed(source):
@@ -181,34 +194,54 @@ def load_packed(data):
     from repro.trace.recorder import TraceRecorder
 
     if not is_packed(data):
-        raise ValueError("not a v2 packed trace (bad magic)")
-    magic, has_roi, count, _reserved = _HEADER.unpack_from(data, 0)
-    offset = _HEADER.size
-    stage, offset = _read_str(data, offset)
+        raise TraceFormatError("not a v2 packed trace (bad magic)")
+    if len(data) < _HEADER.size:
+        raise TraceFormatError("packed trace truncated in header")
+    _magic, has_roi, count, reserved = _HEADER.unpack_from(data, 0)
+    if has_roi > 1 or reserved:
+        raise TraceFormatError("packed trace header is corrupt")
+    stage, offset = _read_str(data, _HEADER.size, "stage")
     columns = []
     for typecode in _COLUMN_TYPES:
         column = array(typecode)
-        width = column.itemsize * count
-        column.frombytes(data[offset:offset + width])
+        end = offset + column.itemsize * count
+        if end > len(data):
+            raise TraceFormatError("packed trace truncated in a column")
+        column.frombytes(data[offset:end])
         if _SWAP and column.itemsize > 1:
             column.byteswap()
-        offset += width
+        offset = end
         columns.append(column)
-    (n_infos,) = _U32.unpack_from(data, offset)
-    offset += 4
+    n_infos, offset = _read_u32(data, offset, "info table")
     infos = []
     for _ in range(n_infos):
-        info, offset = _read_str(data, offset)
+        info, offset = _read_str(data, offset, "info table")
         infos.append(info)
-    (n_ips,) = _U32.unpack_from(data, offset)
-    offset += 4
+    n_ips, offset = _read_u32(data, offset, "ip table")
     ips = []
     for _ in range(n_ips):
-        filename, offset = _read_str(data, offset)
-        (lineno,) = _U32.unpack_from(data, offset)
-        offset += 4
-        function, offset = _read_str(data, offset)
+        filename, offset = _read_str(data, offset, "ip table")
+        lineno, offset = _read_u32(data, offset, "ip table")
+        function, offset = _read_str(data, offset, "ip table")
         ips.append(intern_location(filename, lineno, function))
+    if offset != len(data):
+        raise TraceFormatError(
+            f"{len(data) - offset} trailing byte(s) after packed trace"
+        )
+    # Index 0 of each table is the recorder's default payload.
+    if infos[:1] != [""] or ips[:1] != [UNKNOWN_LOCATION]:
+        raise TraceFormatError(
+            "packed trace tables lack their default first entry"
+        )
+    kinds, infos_idx, ips_idx = columns[0], columns[4], columns[5]
+    if count and (
+        max(kinds) >= len(KIND_BY_CODE)
+        or max(infos_idx) >= len(infos)
+        or max(ips_idx) >= len(ips)
+    ):
+        raise TraceFormatError(
+            "packed trace refers past its kind, info or ip table"
+        )
     recorder = TraceRecorder(stage=stage)
     # Restore through __setstate__: it rebuilds the intern tables and
     # rebinds the column append methods in one place.

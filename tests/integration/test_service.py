@@ -109,6 +109,18 @@ def _run_until(scheduler, store, job_id, condition, max_seconds=180,
     )
 
 
+def _wait_running(scheduler, store, job_id):
+    """Step until a shard is observed running.  A step that dispatches
+    a shard then waits ``poll`` for replies, and a shard that finishes
+    within that wait is never seen running, so poll briefly: a shard
+    task takes far longer than 10 ms."""
+    return _run_until(
+        scheduler, store, job_id,
+        lambda r: any(s.status == "running" for s in r.shards),
+        poll=0.01,
+    )
+
+
 def _crash(scheduler):
     """Simulate a daemon crash: SIGKILL the fleet, drop the loop."""
     for worker in list(scheduler.fleet._workers):
@@ -197,12 +209,7 @@ class TestShardedJobs:
         store, scheduler = _scheduler(tmp_path)
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _wait_running(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             shard_id = victim.task["shard_id"]
             os.kill(victim.process.pid, signal.SIGKILL)
@@ -233,12 +240,7 @@ class TestShardedJobs:
         spec = dict(HASHMAP, shards=1)
         try:
             job_id = _submit(scheduler, spec)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _wait_running(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             os.kill(victim.process.pid, signal.SIGSTOP)
             record = _run_until(
@@ -264,12 +266,7 @@ class TestShardedJobs:
         )
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _wait_running(scheduler, store, job_id)
             victim = _shard_victim(scheduler)
             shard_id = victim.task["shard_id"]
             os.kill(victim.process.pid, signal.SIGSTOP)
@@ -301,12 +298,7 @@ class TestDrain:
         store, scheduler = _scheduler(tmp_path)
         try:
             job_id = _submit(scheduler, HASHMAP)
-            _run_until(
-                scheduler, store, job_id,
-                lambda r: any(
-                    s.status == "running" for s in r.shards
-                ),
-            )
+            _wait_running(scheduler, store, job_id)
             scheduler._commands.put(_Command("drain", None))
             deadline = time.monotonic() + 90
             while not scheduler.drained and \

@@ -3,7 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pm.cacheline import CacheModel, FenceKind, FlushKind, LineState
+from repro.pm.cacheline import (
+    CacheModel,
+    FenceKind,
+    FlushKind,
+    LineState,
+    PlatformMode,
+)
 from repro.pm.constants import CACHE_LINE_SIZE
 
 
@@ -196,3 +202,137 @@ def test_fsm_matches_reference_model(events):
                     reference[k] = "P"
         for k, v in reference.items():
             assert model.state_of(k * CACHE_LINE_SIZE).value == v
+
+
+# ----------------------------------------------------------------------
+# Differential property: the incremental bookkeeping (the volatile-line
+# set, the single-line overlay lookup, the fence's walk of the pending
+# set) agrees with from-scratch scans of every tracked line.
+# ----------------------------------------------------------------------
+
+_LINES = 6
+_SPAN = _LINES * CACHE_LINE_SIZE
+
+
+class _Window:
+    """The ``base``/``end`` pair ``volatile_lines_for`` reads."""
+
+    base = 0
+    end = _SPAN
+
+
+def _scan_volatile(model):
+    return tuple(sorted(
+        line for line, state in model.line_states().items()
+        if state in (LineState.MODIFIED, LineState.WRITEBACK_PENDING)
+    ))
+
+
+def _scan_overlay(model, current):
+    """The strict crash contents of the whole window, byte by byte from
+    every tracked line."""
+    out = bytearray(current)
+    for line, state in model.line_states().items():
+        if state is LineState.UNMODIFIED:
+            continue
+        media = model.persisted_line(line)
+        if media is None:
+            if state is LineState.PERSISTED:
+                continue
+            media = bytes(CACHE_LINE_SIZE)
+        for i in range(CACHE_LINE_SIZE):
+            out[line + i] = media[i]
+    return bytes(out)
+
+
+def _scan_fence(model):
+    return sorted(
+        line for line, state in model.line_states().items()
+        if state is LineState.WRITEBACK_PENDING
+    )
+
+
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["store", "nt"]),
+            st.integers(0, _SPAN - 1),  # address
+            st.integers(1, 2 * CACHE_LINE_SIZE),  # size
+            st.integers(1, 255),  # byte value written
+        ),
+        st.tuples(
+            st.sampled_from(["clwb", "clflushopt", "clflush"]),
+            st.integers(0, _SPAN - 1),
+        ),
+        st.tuples(st.sampled_from(["fence", "snapshot", "restore"])),
+    ),
+    max_size=50,
+)
+
+_FLUSH_KINDS = {
+    "clwb": FlushKind.CLWB,
+    "clflushopt": FlushKind.CLFLUSHOPT,
+    "clflush": FlushKind.CLFLUSH,
+}
+
+
+def _check_against_scan(model, backing):
+    from repro.pm.image import volatile_lines_for
+
+    assert volatile_lines_for(_Window, model) == _scan_volatile(model)
+    current = bytes(backing)
+    full = model.persisted_only_overlay(0, _SPAN, current)
+    assert full == _scan_overlay(model, current)
+    for line in range(0, _SPAN, CACHE_LINE_SIZE):
+        piece = current[line:line + CACHE_LINE_SIZE]
+        assert model.persisted_only_overlay(
+            line, CACHE_LINE_SIZE, piece
+        ) == full[line:line + CACHE_LINE_SIZE]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(PlatformMode)), _cache_ops)
+def test_incremental_paths_match_full_scans(platform, ops):
+    backing = bytearray(_SPAN)
+
+    def read_line(base):
+        return bytes(backing[base:base + CACHE_LINE_SIZE])
+
+    model = CacheModel(read_line, platform)
+    saved = model.snapshot()
+    for op in ops:
+        name = op[0]
+        if name in ("store", "nt"):
+            _, address, size, value = op
+            size = min(size, _SPAN - address)
+            backing[address:address + size] = bytes([value]) * size
+            if name == "store":
+                model.store(address, size)
+            else:
+                model.nt_store(address, size)
+        elif name in _FLUSH_KINDS:
+            model.flush(op[1], _FLUSH_KINDS[name])
+        elif name == "fence":
+            expected = _scan_fence(model)
+            assert model.fence() == expected
+        elif name == "snapshot":
+            saved = model.snapshot()
+        else:
+            model.restore(saved)
+        _check_against_scan(model, backing)
+
+
+def test_store_to_writeback_pending_line_is_not_persisted_by_fence():
+    """The pending set still holds a line a later store moved back to
+    MODIFIED: the fence must skip it, yet stay an ordering point."""
+    model, backing = make_model()
+    model.store(0, 8)
+    model.flush(0, FlushKind.CLWB)
+    backing[0] = b"y" * CACHE_LINE_SIZE
+    model.store(0, 8)
+    assert model.state_of(0) is LineState.MODIFIED
+    assert model.is_ordering_fence()
+    assert model.fence() == []
+    assert model.state_of(0) is LineState.MODIFIED
+    assert model.persisted_line(0) is None
+    assert model.volatile_lines() == {0}

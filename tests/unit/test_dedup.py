@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.shadow import ShadowCheckpointCache, ShadowPM
 from repro.dedup import DedupIndex, ImageMemo, PoolFold
-from repro.pm.constants import PMEM_MMAP_HINT
+from repro.pm.constants import CACHE_LINE_SIZE, PMEM_MMAP_HINT
 from repro.pm.image import CrashImageMode
 from repro.pm.memory import PersistentMemory
 from repro.pm.pool import PMPool
@@ -149,16 +149,25 @@ class TestFingerprintClasses:
         assert index.fallback_keys({}) == [_key(1), _key(2)]
 
     def test_hashed_bytes_accounted(self):
-        memory = _memory()
-        store = SnapshotStore(fingerprints=True)
-        memory.store(BASE, b"A" * 8)
-        memory.snapshot_delta(store)
-        assert store.hashed_bytes >= 2 * POOL_SIZE  # base images
-        before = store.hashed_bytes
-        memory.store(BASE + 64, b"B" * 8)
-        memory.snapshot_delta(store)
-        delta_hashed = store.hashed_bytes - before
-        assert 0 < delta_hashed < POOL_SIZE  # only dirty lines
+        """Only delta lines are hashed (program view + persisted view);
+        the base image, recorded once per store, costs no hashing, so
+        the count is the same on a 4 KiB and an 8 MiB pool."""
+        for size in (POOL_SIZE, 8 * 1024 * 1024):
+            memory = _memory(size)
+            store = SnapshotStore(fingerprints=True)
+            memory.store(BASE, b"A" * 8)
+            memory.snapshot_delta(store)  # base image
+            memory.store(BASE + 64, b"B" * 8)
+            memory.store(BASE + 1024, b"C" * 8)
+            memory.snapshot_delta(store)  # two delta lines
+            delta_bytes = sum(
+                len(data) + len(persisted)
+                for fid in range(len(store))
+                for delta in store.deltas(fid)
+                for _offset, data, persisted in delta.lines
+            )
+            assert delta_bytes == 2 * 2 * CACHE_LINE_SIZE, size
+            assert store.hashed_bytes == delta_bytes, size
 
 
 class TestImageMemo:

@@ -1,18 +1,23 @@
 """Tests for the v2 packed binary trace format.
 
-Covers the three guarantees the format makes: lossless round-trips
+Covers the four guarantees the format makes: lossless round-trips
 through the columnar recorder (every event kind, randomized payloads),
-auto-detection in ``load_trace`` so v1 readers need no changes, and
+auto-detection in ``load_trace`` so v1 readers need no changes,
 bit-for-bit compatibility with archived v1 text dumps via the checked-in
-fixture.
+fixture, and a typed ``TraceFormatError`` for every corrupt input.
 """
 
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._location import UNKNOWN_LOCATION, SourceLocation
+from repro.core import DetectorConfig
+from repro.core.frontend import Frontend
+from repro.errors import TraceFormatError
 from repro.trace import (
     EventKind,
     TraceEvent,
@@ -25,6 +30,7 @@ from repro.trace import (
     parse_trace,
 )
 from repro.trace.serialize import PACKED_MAGIC
+from repro.workloads import ALL_WORKLOADS
 
 _FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "trace_v1.txt"
 
@@ -102,6 +108,8 @@ class TestPackedRoundTrip:
     def test_bad_magic_raises(self):
         with pytest.raises(ValueError):
             load_packed(b"not a trace at all")
+        with pytest.raises(TraceFormatError):
+            load_packed(b"not a trace at all")
 
 
 class TestAutoDetection:
@@ -140,3 +148,90 @@ class TestV1FixtureCompat:
     def test_fixture_upgrades_to_packed_losslessly(self):
         events = parse_trace(_FIXTURE.read_text())
         assert load_packed(dump_packed(events)).events == events
+
+
+# ----------------------------------------------------------------------
+# Corrupt inputs: a mutated packed trace either loads to something that
+# dumps back to exactly the same bytes or raises TraceFormatError —
+# never a bare struct/Unicode/Index error, never a silent truncation.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pre_trace_blob():
+    config = DetectorConfig(jobs=1, executor="serial", progress=False)
+    result = Frontend(config).run(ALL_WORKLOADS["hashmap_tx"](test_size=2))
+    return dump_packed(result.pre_recorder)
+
+
+_mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("flip"), st.integers(0, 1 << 20),
+                  st.integers(1, 255)),
+        st.tuples(st.just("insert"), st.integers(0, 1 << 20),
+                  st.binary(min_size=1, max_size=8)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def _mutate(blob, mutations):
+    out = bytearray(blob)
+    for mutation in mutations:
+        position = mutation[1] % (len(out) + 1)
+        if mutation[0] == "truncate":
+            del out[position:]
+        elif mutation[0] == "flip":
+            if position < len(out):
+                out[position] ^= mutation[2]
+        else:
+            out[position:position] = mutation[2]
+    return bytes(out)
+
+
+class TestCorruptPackedTraces:
+    def test_pre_trace_round_trips(self, pre_trace_blob):
+        assert dump_packed(load_packed(pre_trace_blob)) == pre_trace_blob
+
+    @pytest.mark.parametrize("cut", [1, 4, 17])
+    def test_truncation_raises(self, pre_trace_blob, cut):
+        with pytest.raises(TraceFormatError):
+            load_packed(pre_trace_blob[:-cut])
+
+    def test_trailing_bytes_raise(self, pre_trace_blob):
+        with pytest.raises(TraceFormatError, match="trailing"):
+            load_packed(pre_trace_blob + b"\x00")
+
+    def test_invalid_utf8_raises(self):
+        blob = bytearray(dump_packed(TraceRecorder(stage="pre")))
+        # The stage string follows the 17-byte header and its length.
+        blob[21] = 0xFF
+        with pytest.raises(TraceFormatError, match="UTF-8"):
+            load_packed(bytes(blob))
+
+    def test_index_past_table_raises(self):
+        recorder = TraceRecorder(stage="pre")
+        recorder.append(EventKind.STORE, addr=0x10, size=8)
+        blob = bytearray(dump_packed(recorder))
+        # Header, stage string, then one row of the kind, addr, size,
+        # tid and info-index columns; the ip index comes next.  Point
+        # it past the one-entry ip table.
+        ip_index_at = 17 + 4 + len("pre") + (1 + 8 + 8 + 2 + 4)
+        assert blob[ip_index_at] == 0
+        blob[ip_index_at] = 7
+        with pytest.raises(TraceFormatError, match="past"):
+            load_packed(bytes(blob))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutations=_mutations)
+    def test_corruption_round_trips_or_raises_typed(
+        self, pre_trace_blob, mutations
+    ):
+        blob = _mutate(pre_trace_blob, mutations)
+        try:
+            recorder = load_packed(blob)
+        except TraceFormatError:
+            return
+        assert dump_packed(recorder) == blob
+        assert len(recorder.events) == len(recorder)

@@ -573,9 +573,15 @@ class TestHeartbeatSink:
 
 
 class TestDoctor:
-    def test_finished_job_litter_found_and_cleaned(self, tmp_path):
+    def test_finished_job_litter_found_and_cleaned(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import doctor
         from repro.service.doctor import clean_findings, diagnose
 
+        # The shm scan is host-wide: a segment a SIGKILLed worker of
+        # an earlier test orphaned would be found and cleaned too.
+        monkeypatch.setattr(doctor, "find_orphan_segments", lambda: [])
         store = JobStore(str(tmp_path))
         record = store.create(JobSpec(workload="btree"))
         record.advance("RUNNING")
