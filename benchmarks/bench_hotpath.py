@@ -1,24 +1,25 @@
 """Serial engine hot path: columnar traces + compiled replay plans.
 
-Every other speedup in the repo (exec parallelism, dedup, mechanism
-pruning, warm pools) multiplies the serial per-PM-op cost; this
-benchmark tracks that cost directly.  Two gates:
+Every other speedup in the repo (exec parallelism, the replay-prefix
+memo, mechanism pruning, warm pools) multiplies the serial per-PM-op
+cost; this benchmark tracks that cost directly.  Two gates:
 
 * **Speedup** — full detection of ``hashmap_tx`` @ 30 pre-failure
-  transactions, jobs=1, dedup on (the acceptance configuration), timed
+  transactions, jobs=1 (the acceptance configuration), timed
   best-of-N and compared against the measured pre-change baseline
   recorded in :data:`PRECHANGE_BASELINE`.  Ops/sec and the per-phase
   split land in ``BENCH_hotpath.json``.
 
 * **Byte identity** — the optimized engine (columnar recorder,
-  checkpointed replay, dedup, coalescing/memoized ShadowPM) against two
-  references on the full Table 4 microbenchmark set (tiny sizes, so CI
-  can afford it): the interleaved schedule over the unoptimized shadow
-  (:func:`repro.core.shadow_ref.reference_bugs`, same bug list), and an
-  audited run — ``DetectorConfig(audit=True)`` replays every point
-  live with replay-level dedup off and bypasses the shadow's
-  coalescing and memo lookups whenever an audit sink is attached.
-  The audited report must match byte-for-byte, timings aside.
+  checkpointed replay, image memo, coalescing/memoized ShadowPM)
+  against two references on the full Table 4 microbenchmark set (tiny
+  sizes, so CI can afford it): the interleaved schedule over the
+  unoptimized shadow (:func:`repro.core.shadow_ref.reference_bugs`,
+  same bug list), and an audited run — ``DetectorConfig(audit=True)``
+  replays every point into its own audit scope and bypasses the
+  shadow's coalescing and memo lookups whenever an audit sink is
+  attached.  The audited report must match byte-for-byte, timings
+  aside.
 
 Run with ``--benchmark-only``::
 
@@ -45,7 +46,8 @@ from repro.core.shadow_ref import reference_bugs
 from repro.workloads import MICROBENCHMARKS
 
 #: Pre-change serial cost of the acceptance configuration (hashmap_tx
-#: @ 30 transactions, jobs=1, dedup on): best of 5 runs on the
+#: @ 30 transactions, jobs=1, with the since-removed crash-state dedup
+#: switch on, as it then was by default): best of 5 runs on the
 #: development machine at commit 4041489, immediately before the
 #: hot-path work landed.  ``cpu_seconds`` (``time.process_time``) is
 #: the gated metric — it excludes scheduler wait and so stays stable
@@ -99,7 +101,7 @@ def _timed_run(config):
 
 def test_hotpath_speedup(benchmark):
     """Best-of-N serial detection vs the pre-change baseline."""
-    config = DetectorConfig(jobs=1, dedup=True)
+    config = DetectorConfig(jobs=1)
     best = best_cpu = None
     best_report = None
     for _ in range(ROUNDS):
@@ -146,7 +148,7 @@ def test_hotpath_speedup(benchmark):
     text = format_table(
         headers, rows + phase_rows,
         title=(
-            "Serial hot path — hashmap_tx @ 30 tx, jobs=1, dedup on "
+            "Serial hot path — hashmap_tx @ 30 tx, jobs=1 "
             f"(floor: {SPEEDUP_FLOOR}x vs pre-change baseline)"
         ),
     )
@@ -161,7 +163,6 @@ def test_hotpath_speedup(benchmark):
             "workload": "hashmap_tx",
             "transactions": TX_COUNT,
             "jobs": 1,
-            "dedup": True,
             "cpu_count": os.cpu_count() or 1,
             "prechange_baseline": PRECHANGE_BASELINE,
             "best_cpu_seconds": round(best_cpu, 3),

@@ -155,11 +155,6 @@ def _build_parser():
                      help="resume from a previous run's journal: "
                           "validate its config+trace checksum and "
                           "skip completed failure points")
-    run.add_argument("--no-dedup", action="store_true",
-                     help="disable crash-image deduplication and "
-                          "replay-prefix memoization (every failure "
-                          "point runs and replays from scratch; "
-                          "default: XFD_DEDUP or on)")
     run.add_argument("--json", action="store_true",
                      help="print the report as JSON")
     run.add_argument("--events", default=None, metavar="PATH",
@@ -438,8 +433,6 @@ def _cmd_run(args):
         overrides["journal"] = args.journal
     if args.resume is not None:
         overrides["resume"] = args.resume
-    if args.no_dedup:
-        overrides["dedup"] = False
     if args.events is not None:
         overrides["events"] = args.events
     if args.prom_textfile is not None:
@@ -517,16 +510,6 @@ def _cmd_run(args):
             f"-- crash plans ({stats.plan_mode}): {executed} of "
             f"{stats.failure_points} failure points executed, "
             f"{skipped} skipped ({ratio:.1f}x fewer than exhaustive)"
-        )
-    if stats.post_runs_deduped or stats.replays_deduped:
-        skipped_events = telemetry.metrics.value(
-            "replay_events_skipped"
-        )
-        print(
-            f"-- dedup: {stats.post_runs_deduped} post-failure "
-            f"run(s) cloned from class representatives, "
-            f"{stats.replays_deduped} replay(s) memoized "
-            f"({skipped_events} replay events skipped)"
         )
     if report.incidents:
         state = (

@@ -45,8 +45,9 @@ def _default_deadline():
 
 def _default_batch_size():
     """Failure points per dispatch: the ``XFD_BATCH_SIZE`` env var,
-    default 8.  Invalid or non-positive values degrade to 1 (no
-    batching) — an ops knob, not an API."""
+    default 8.  Unset or unparseable values give the default 8;
+    values <= 0 are clamped to 1 (no batching) — an ops knob, not an
+    API."""
     raw = os.environ.get("XFD_BATCH_SIZE", "").strip()
     if not raw:
         return 8
@@ -62,15 +63,6 @@ def _default_warm_pool():
     var, default on.  Only explicit ``0/false/off/no`` disable —
     mirrors the CLI's ``--no-warm-pool``."""
     raw = os.environ.get("XFD_WARM_POOL", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-def _default_dedup():
-    """Crash-state dedup switch: the ``XFD_DEDUP`` env var, default on.
-
-    Only explicit ``0/false/off/no`` disable — an ops knob mirroring
-    the CLI's ``--no-dedup``."""
-    raw = os.environ.get("XFD_DEDUP", "").strip().lower()
     return raw not in ("0", "false", "off", "no")
 
 
@@ -206,21 +198,6 @@ class DetectorConfig:
     #: Overridable via the ``XFD_WARM_POOL`` env var; CLI
     #: ``--warm-pool/--no-warm-pool``.
     warm_pool: bool = field(default_factory=_default_warm_pool)
-
-    #: Crash-state deduplication (``repro.dedup``): fingerprint every
-    #: failure point's crash image incrementally, run only one
-    #: post-failure execution/replay per equivalence class, and clone
-    #: the findings onto the other members with per-member provenance.
-    #: The same switch turns on replay-prefix memoization: per-worker
-    #: rolling crash-image buffers advanced by per-failure-point deltas
-    #: (O(delta) instead of O(pool) image work per post-failure task),
-    #: and shadow checkpoints captured only at failure points with live
-    #: replays (skipped ones are rebuilt on demand).  Reports stay
-    #: content-identical to a dedup-off run modulo the skipped-work
-    #: counters.  CLI ``run --no-dedup`` / env ``XFD_DEDUP=0`` disable
-    #: it (needed only when a workload's recovery is deliberately
-    #: non-deterministic).
-    dedup: bool = field(default_factory=_default_dedup)
 
     #: Record every shadow-PM persistence/consistency FSM transition in
     #: an audit log (``repro.obs.AuditLog``) with address range,

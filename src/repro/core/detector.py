@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro._location import UNKNOWN_LOCATION
 from repro.core.config import DetectorConfig
 from repro.core.frontend import Frontend
 from repro.core.replay import TraceReplayer, lower_trace
 from repro.core.report import Bug, BugKind, DetectionReport
-from repro.core.shadow import ShadowCheckpointCache, ShadowPM
+from repro.core.shadow import ShadowPM
 from repro.exec.base import SerialExecutor, resolve_executor, submitter
 from repro.exec.worker import (
     ReplayPhaseContext,
@@ -124,9 +122,6 @@ class XFDetector:
         )
         stats.pre_failure_seconds = frontend_result.pre_seconds
         stats.post_failure_seconds = frontend_result.post_seconds
-        stats.post_runs_deduped = getattr(
-            frontend_result, "post_runs_deduped", 0
-        )
         incident_log = getattr(frontend_result, "incidents", None)
         if incident_log is None:
             incident_log = IncidentLog()
@@ -182,25 +177,20 @@ class XFDetector:
         Under audit the pre-replay records into a ``stage="pre"`` scope
         and the fork position of each failure point is marked at its
         marker, so ``AuditLog.history_for`` cuts the inherited history
-        exactly there; every live run then replays (no replay-level
-        dedup clones), each into its own ``stage="post"`` scope.
+        exactly there; every run then replays into its own
+        ``stage="post"`` scope.
         """
         tel = self.telemetry
         stats = report.stats
         audit = tel.audit
-        dedup_on = getattr(self.config, "dedup", False)
-        replay_dedup = (
-            dedup_on and audit is None and not self.config.fail_fast
-        )
 
         # The pre-failure trace is lowered into a compiled replay
-        # program exactly once; the marker scan below, the pre-replay,
-        # and any checkpoint rebuilds all execute the same program.
+        # program exactly once; the marker scan below and the
+        # pre-replay both execute it.
         pre_program = lower_trace(frontend_result.pre_recorder)
 
-        # Tasks are fixed before the pre-replay so replay-level
-        # dedup can decide, at each marker, which runs need a live
-        # checkpoint and which clone an earlier identical replay.
+        # Tasks are fixed before the pre-replay so each marker knows
+        # whether any run needs its checkpoint.
         marker_fids = {
             int(instr[3])
             for instr in pre_program
@@ -237,20 +227,14 @@ class XFDetector:
                 shadow, self.config, "pre", report,
                 has_roi=pre_has_roi, metrics=tel.metrics,
             )
-            runs_at = {}
-            for task_index, run in enumerate(tasks):
-                runs_at.setdefault(
-                    run.failure_point.fid, []
-                ).append(task_index)
-            # Merged LOAD ranges per exec-dedup class with >1 live
-            # member: the shadow read set a digest must cover.
-            readsets = _class_readsets(tasks) if replay_dedup else {}
-
-            checkpoints = ShadowCheckpointCache(
-                self._checkpoint_rebuilder(pre_program, pre_has_roi)
-            )
-            replay_seen = {}  # (class id, digest) -> source task index
-            clone_of = {}  # task index -> source task index
+            # Markers with at least one run to replay (journaled runs
+            # are rebuilt from their records and need no checkpoint).
+            run_fids = {run.failure_point.fid for run in tasks}
+            live_fids = {
+                run.failure_point.fid for run in tasks
+                if getattr(run, "journal_entry", None) is None
+            }
+            checkpoints = {}  # fid -> ShadowPM
             insert_at = {}
             # Dispatch the compiled program directly (same table
             # ``run_program`` uses) so the marker handling can stay
@@ -262,48 +246,18 @@ class XFDetector:
                     if code == _FP_CODE:
                         fid = int(info)
                         insert_at[fid] = len(report.bugs)
-                        if audit is not None and fid in runs_at:
+                        if audit is not None and fid in run_fids:
                             audit.mark_fork(fid)
-                        need_live = not dedup_on
-                        digests = {}
-                        for task_index in runs_at.get(fid, ()):
-                            run = tasks[task_index]
-                            if getattr(
-                                run, "journal_entry", None
-                            ) is not None:
-                                continue
-                            cid = getattr(run, "dedup_class", None)
-                            readset = readsets.get(cid)
-                            if readset is not None:
-                                digest = digests.get(cid)
-                                if digest is None:
-                                    digest = shadow.region_digest(
-                                        readset
-                                    )
-                                    digests[cid] = digest
-                                source = replay_seen.get((cid, digest))
-                                if source is not None:
-                                    clone_of[task_index] = source
-                                    continue
-                                replay_seen[(cid, digest)] = task_index
-                            need_live = True
-                        if need_live:
-                            checkpoints.capture(fid, shadow)
-                        else:
-                            checkpoints.note_skipped(fid)
+                        if fid in live_fids:
+                            checkpoints[fid] = shadow.checkpoint()
                     dispatch[code](addr, size, info, ip, tid)
             pre_bugs = list(report.bugs)
             for bug in pre_bugs:
                 _emit_finding(tel, bug)
-            if checkpoints.skipped:
-                tel.metrics.inc(
-                    "replay_checkpoints_skipped", checkpoints.skipped
-                )
 
-            results, replays_deduped, stopped = self._replay_tasks(
-                tasks, checkpoints, executor, incident_log, clone_of
+            results, stopped = self._replay_tasks(
+                tasks, checkpoints, executor, incident_log
             )
-            stats.replays_deduped = replays_deduped
             stats.post_runs_analyzed = sum(
                 1 for result in results if result is not None
             )
@@ -363,36 +317,13 @@ class XFDetector:
             seconds=backend_span.duration,
         )
 
-    def _checkpoint_rebuilder(self, pre_program, pre_has_roi):
-        """The cache's slow path: rebuild the shadow state at one
-        skipped marker by replaying the pre-failure program prefix
-        into a scratch shadow (fresh counter and report — the live
-        pre-replay already accounted for these events)."""
-
-        def rebuild(fid):
-            shadow = ShadowPM(platform=self.config.platform)
-            replayer = TraceReplayer(
-                shadow, self.config, "pre", DetectionReport(),
-                has_roi=pre_has_roi,
-            )
-            dispatch = replayer._dispatch
-            for code, addr, size, info, ip, tid in pre_program:
-                if code == _FP_CODE and int(info) == fid:
-                    return shadow.checkpoint()
-                dispatch[code](addr, size, info, ip, tid)
-            raise KeyError(fid)
-
-        return rebuild
-
     def _replay_tasks(self, tasks, checkpoints, executor,
-                      incident_log, clone_of):
+                      incident_log):
         """Run every post-failure replay task; returns one
         ``(bugs, benign_races)`` pair per task, in task order —
-        rebuilt straight from the journal for resumed runs, cloned
-        from the source replay for deduped runs (with per-member
-        failure-point provenance rewritten), None for quarantined
-        ones — plus the number of replays deduped and whether a
-        ``fail_fast`` stop cut the list short after its last entry.
+        rebuilt straight from the journal for resumed runs, None for
+        quarantined ones — plus whether a ``fail_fast`` stop cut the
+        list short after its last entry.
 
         Under ``fail_fast`` tasks are submitted one at a time, so no
         task after the stopping one is replayed."""
@@ -415,10 +346,7 @@ class XFDetector:
             runs_map[key] = (
                 lower_trace(run.recorder), _has_roi(run.recorder)
             )
-        live_keys = [
-            key for key in keys
-            if key not in journaled and key[2] not in clone_of
-        ]
+        live_keys = [key for key in keys if key not in journaled]
         completed = {}
         if live_keys:
             resilience = ResilienceContext.from_config(
@@ -444,22 +372,7 @@ class XFDetector:
                 completed.update(done)
                 if any(outcome.value.stopped for outcome in done.values()):
                     break
-            if clone_of:
-                # A quarantined source replay speaks for nobody: its
-                # clones replay live (rebuilding their checkpoint if
-                # the marker's was skipped) in a fallback wave.
-                fallback = [
-                    key for key in keys
-                    if key[2] in clone_of
-                    and keys[clone_of[key[2]]] not in completed
-                ]
-                if fallback:
-                    tel.metrics.inc(
-                        "dedup_fallback_replays", len(fallback)
-                    )
-                    completed.update(supervisor.run(submit, fallback))
         results = []
-        replays_deduped = 0
         for key in keys:
             if key in journaled:
                 results.append(journaled[key])
@@ -468,39 +381,10 @@ class XFDetector:
                 value = completed[key].value
                 results.append((value.bugs, value.benign_races))
                 if value.stopped:
-                    return results, replays_deduped, True
+                    return results, True
                 continue
-            source_index = clone_of.get(key[2])
-            source = (
-                completed.get(keys[source_index])
-                if source_index is not None else None
-            )
-            if source is None:
-                results.append(None)  # quarantined: outcome lost
-                continue
-            value = source.value
-            fid = key[0]
-            bugs = [
-                dataclasses.replace(bug, failure_point=fid)
-                if bug.failure_point is not None else bug
-                for bug in value.bugs
-            ]
-            results.append((bugs, value.benign_races))
-            # The clone's own replay would have produced the same
-            # task-local counters event for event; merging the
-            # source's registry once per clone keeps run totals
-            # identical to a dedup-off run.
-            tel.metrics.merge(value.metrics)
-            tel.metrics.inc("replays_deduped")
-            tel.metrics.inc(
-                "replay_events_skipped", len(runs_map[key][0])
-            )
-            tel.emit(
-                "dedup_hit", stage="post_replay",
-                fid=fid, variant=key[1],
-            )
-            replays_deduped += 1
-        return results, replays_deduped, False
+            results.append(None)  # quarantined: outcome lost
+        return results, False
 
 
 def crash_bug(post_run):
@@ -548,38 +432,6 @@ def _deterministic_stats(stats):
         "failure_points_skipped_by_plan":
             stats.failure_points_skipped_by_plan,
     }
-
-
-def _class_readsets(tasks):
-    """Merged pre-fork shadow read sets per exec-dedup class.
-
-    Two replays with the same crash image and the same post-failure
-    trace can still differ through the pre-fork shadow state they read
-    (``LOAD`` events consult commit variables, persistence state, and
-    writer provenance at the forked checkpoint).  Replay-level dedup
-    therefore keys on a digest of exactly those shadow regions — the
-    union of every LOAD range in the class's traces.  Classes with a
-    single live member never amortize anything, so they get no read
-    set and replay live.
-    """
-    by_class = {}
-    for run in tasks:
-        cid = getattr(run, "dedup_class", None)
-        if cid is None or getattr(run, "journal_entry", None) is not None:
-            continue
-        by_class.setdefault(cid, []).append(run)
-    readsets = {}
-    for cid, runs in by_class.items():
-        if len(runs) < 2:
-            continue
-        ranges = set()
-        # Deduped members carry their representative's recorder, so
-        # the first member's LOAD set covers the class.
-        for event in runs[0].recorder:
-            if event.kind is EventKind.LOAD:
-                ranges.add((event.addr, event.addr + event.size))
-        readsets[cid] = tuple(sorted(ranges))
-    return readsets
 
 
 def _has_roi(recorder):

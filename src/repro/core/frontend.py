@@ -27,7 +27,6 @@ from repro.errors import CrashSummary, DetectorError, PostFailureCrash
 from repro.exec.base import resolve_executor, submitter
 from repro.exec.worker import (
     PostPhaseContext,
-    PostTaskOutcome,
     run_post_task,
     strip_config,
 )
@@ -74,18 +73,12 @@ class PostRun:
     #: executed, the journal record (the backend skips its replay and
     #: rebuilds the recorded bugs from it).
     journal_entry: dict | None = None
-    #: Crash-state equivalence class id (``repro.dedup``), or None
-    #: when dedup is off / the run was journaled.
-    dedup_class: int | None = None
-    #: True when this run's outcome was cloned from its class
-    #: representative instead of executed.
-    deduped: bool = False
 
     def __repr__(self):
         return f"PostRun({self.describe()})"
 
     def describe(self):
-        """One-line human description, dedup provenance included."""
+        """One-line human description."""
         fid = getattr(self.failure_point, "fid", self.failure_point)
         bits = [f"fid={fid}"]
         if self.variant is not None:
@@ -95,10 +88,6 @@ class PostRun:
             bits.append("crashed")
         if self.journal_entry is not None:
             bits.append("journaled")
-        if self.dedup_class is not None:
-            bits.append(f"dedup_class={self.dedup_class}")
-            if self.deduped:
-                bits.append("cloned")
         return ", ".join(bits)
 
 
@@ -118,11 +107,6 @@ class FrontendResult:
     incidents: object | None = None
     #: The run's ``RunJournal``, or None when journaling is off.
     journal: object | None = None
-    #: Post-failure executions skipped by crash-state dedup (their
-    #: ``PostRun``s carry the representative's cloned outcome).
-    post_runs_deduped: int = 0
-    #: Number of distinct crash-state classes, or None with dedup off.
-    dedup_classes: int | None = None
     #: The applied ``repro.analysis.plans.CrashPlanSet``, or None in
     #: exhaustive mode / when inference degraded.
     plan_set: object | None = None
@@ -133,19 +117,13 @@ class FrontendResult:
         return f"FrontendResult({self.describe()})"
 
     def describe(self):
-        """One-line human description, dedup stats included."""
-        bits = [
+        """One-line human description."""
+        return ", ".join([
             f"workload={self.workload_name!r}",
             f"failure_points={len(self.failure_points)}",
             f"post_runs={len(self.post_runs)}",
             f"pre_events={len(self.pre_recorder)}",
-        ]
-        if self.dedup_classes is not None:
-            bits.append(
-                f"dedup_classes={self.dedup_classes}"
-                f" ({self.post_runs_deduped} cloned)"
-            )
-        return ", ".join(bits)
+        ])
 
 
 def _variant_masks(fid, total_bits, count):
@@ -278,8 +256,9 @@ class Frontend:
                 workload_name,
             )
 
-        post_runs, post_seconds, deduped, dedup_classes = \
-            self._post_stage(workload, injector, uses_roi, journal)
+        post_runs, post_seconds = self._post_stage(
+            workload, injector, uses_roi, journal
+        )
         tel.metrics.gauge("pre_trace_events").set(len(pre_recorder))
 
         return FrontendResult(
@@ -292,8 +271,6 @@ class Frontend:
             uses_roi=uses_roi,
             incidents=self.incident_log,
             journal=journal,
-            post_runs_deduped=deduped,
-            dedup_classes=dedup_classes,
             plan_set=plan_set,
             mech_report=mech_report,
         )
@@ -397,7 +374,7 @@ class Frontend:
         plan = self._post_plan(injector)
         post_seconds = injector.snapshot_seconds
         if not plan:
-            return [], post_seconds, 0, None
+            return [], post_seconds
         journaled = {}
         keys = plan
         if journal is not None and journal.entries:
@@ -416,18 +393,6 @@ class Frontend:
         tel.emit(
             "phase_started", phase="post_exec", points=len(keys)
         )
-
-        # Crash-state dedup: bucket the live keys by (mask, crash-image
-        # fingerprint); only class representatives execute, in plan
-        # order, and members clone their outcome below.
-        index = None
-        if keys and getattr(self.config, "dedup", False):
-            from repro.dedup import DedupIndex
-
-            index = DedupIndex.build(keys, injector.store)
-            tel.metrics.gauge("dedup_post_classes").set(
-                index.dedup_classes
-            )
 
         completed = {}
         if keys:
@@ -448,27 +413,13 @@ class Frontend:
             )
             try:
                 submit = submitter(executor, ctx, run_post_task, tel)
-                exec_keys = keys if index is None else index.rep_keys()
-                completed = supervisor.run(submit, exec_keys)
-                if index is not None:
-                    # A quarantined representative speaks for nobody:
-                    # its members run themselves in a fallback wave
-                    # rather than silently losing the whole class.
-                    fallback = index.fallback_keys(completed)
-                    if fallback:
-                        tel.metrics.inc(
-                            "dedup_fallback_runs", len(fallback)
-                        )
-                        completed.update(
-                            supervisor.run(submit, fallback)
-                        )
+                completed = supervisor.run(submit, keys)
             finally:
                 if owned:
                     executor.close()
 
         fps = {fp.fid: fp for fp in injector.failure_points}
         post_runs = []
-        deduped_count = 0
         for key in plan:
             entry = journaled.get(key)
             if entry is not None:
@@ -490,41 +441,10 @@ class Frontend:
                     )
                 )
                 continue
-            dedup_class = (
-                index.class_of.get(key) if index is not None else None
-            )
             outcome = completed.get(key)
-            deduped = False
-            if outcome is not None:
-                value = outcome.value
-            else:
-                # Cloned member: synthesize the outcome from the class
-                # representative with this key's own provenance.  The
-                # recorder is shared read-only; the crash is rebuilt
-                # below with the member fid, so its message matches an
-                # undeduplicated run byte for byte.
-                value = None
-                if index is not None:
-                    rep = index.rep_for(key)
-                    rep_outcome = (
-                        completed.get(rep) if rep != key else None
-                    )
-                    if rep_outcome is not None:
-                        source = rep_outcome.value
-                        value = PostTaskOutcome(
-                            key[0], key[1], source.recorder,
-                            source.crash_repr, 0.0,
-                        )
-                        deduped = True
-                        deduped_count += 1
-                        tel.metrics.inc("post_runs_deduped")
-                        tel.emit(
-                            "dedup_hit", stage="post_exec",
-                            fid=key[0], variant=key[1],
-                            dedup_class=dedup_class,
-                        )
-                if value is None:
-                    continue  # quarantined: outcome lost, incident logged
+            if outcome is None:
+                continue  # quarantined: outcome lost, incident logged
+            value = outcome.value
             crash = None
             if value.crash_repr is not None:
                 # Rebuilt from the repr either way, so the message is
@@ -546,10 +466,7 @@ class Frontend:
                     crash=crash,
                     seconds=value.seconds,
                     variant=value.variant,
-                    dedup_class=dedup_class,
-                    deduped=deduped,
                 )
             )
-        dedup_classes = index.dedup_classes if index is not None else None
         tel.emit("phase_finished", phase="post_exec")
-        return post_runs, post_seconds, deduped_count, dedup_classes
+        return post_runs, post_seconds

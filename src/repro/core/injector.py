@@ -67,15 +67,10 @@ class FailureInjector:
         self.telemetry = telemetry
         #: Delta snapshot store shared by every failure point of this
         #: run (workers materialize crash images from it on demand).
-        #: Fingerprints ride along when dedup is on, so the frontend
-        #: can bucket failure points without materializing any pool.
         self.store = (
             snapshot_store if snapshot_store is not None
-            else SnapshotStore(
-                fingerprints=getattr(config, "dedup", False)
-            )
+            else SnapshotStore()
         )
-        self._hashed_bytes_seen = 0
         self.failure_points = []
         #: Seconds spent copying PM images.  Copying the image is part
         #: of spawning the post-failure execution (Figure 8a step 3),
@@ -166,13 +161,6 @@ class FailureInjector:
             metrics.gauge("snapshot_bytes_saved").set(
                 self.store.bytes_saved
             )
-            hashed = getattr(self.store, "hashed_bytes", 0)
-            if hashed > self._hashed_bytes_seen:
-                metrics.inc(
-                    "dedup_bytes_hashed",
-                    hashed - self._hashed_bytes_seen,
-                )
-                self._hashed_bytes_seen = hashed
         self.failure_points.append(
             FailurePoint(
                 fid=fid,

@@ -76,11 +76,11 @@ class DetectionStats:
     #: early (``post_trace_events`` still counts every produced run —
     #: the orphan count surfaces as the ``orphaned_post_runs`` metric).
     post_runs_analyzed: int = 0
-    #: Post-failure executions skipped by crash-image dedup (their
-    #: findings were cloned from a class representative).
+    #: Always 0: every failure point executes and replays (crash-state
+    #: dedup classes were removed after cloning 0 of 2412 failure
+    #: points on the perfbench workloads).  Kept because the ``--json``
+    #: schema carries them and ``perfbench/run.py`` reads them.
     post_runs_deduped: int = 0
-    #: Backend replays skipped by replay-prefix memoization (their
-    #: bugs were cloned from an identical earlier replay).
     replays_deduped: int = 0
     benign_races: int = 0
     #: How the post-failure schedule was chosen

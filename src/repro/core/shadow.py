@@ -216,49 +216,11 @@ class ShadowPM:
         """A checkpoint of this shadow at an ordering point.
 
         Semantically :meth:`copy`; the distinct name marks the backend
-        call sites that feed a :class:`ShadowCheckpointCache` so
-        consecutive failure points replay only the pre-trace delta
-        between them instead of from trace start.
+        call site that keeps one checkpoint per failure-point marker,
+        so each post-failure replay forks it instead of replaying the
+        pre-failure trace from its start.
         """
         return self.copy()
-
-    # ------------------------------------------------------------------
-    # Replay-equivalence digest (crash-state dedup, ``repro.dedup``)
-    # ------------------------------------------------------------------
-
-    def region_digest(self, ranges):
-        """Everything a post-failure replay can observe of this shadow
-        over the given ``(start, end)`` ranges, as an exact hashable
-        value.
-
-        A post-stage replay reads pre-failure shadow state only inside
-        ``_check_read`` on LOAD ranges: the persistence, consistency,
-        uninitialized, and last-writer maps, plus the geometry of
-        commit-variable ranges overlapping the read (post stores
-        return before the commit logic, and post FLUSH/FENCE events
-        are not applied at all).  Two forks with equal digests over a
-        post-trace's load set therefore produce identical findings for
-        that trace.  Commit epochs, ``tlast``, the global epoch, and
-        pending lines are deliberately excluded — the post path writes
-        but never reads them, and including them would split states
-        that replay identically.
-        """
-        parts = []
-        for start, end in ranges:
-            for layer in (self.persistence, self.consistency,
-                          self.uninitialized, self.writer):
-                parts.append(tuple(layer.iter_with_gaps(start, end)))
-        overlapping = []
-        for name, var in self.commit_vars.items():
-            var_range = var.var_range
-            for start, end in ranges:
-                if var_range.overlaps(AddressRange(start, end - start)):
-                    overlapping.append(
-                        (name, var_range.start, var_range.size)
-                    )
-                    break
-        parts.append(tuple(overlapping))
-        return tuple(parts)
 
     # ------------------------------------------------------------------
     # Audit hook (only ever invoked with ``self.audit`` set)
@@ -697,54 +659,6 @@ class ShadowPM:
         if state is None:
             state = memo[addr] = self.consistency.get(addr)
         return state
-
-
-class ShadowCheckpointCache:
-    """Keyed cache of shadow checkpoints at failure-point markers.
-
-    The checkpointed backend used to ``copy()`` the shadow at *every*
-    marker; with crash-state dedup most markers have no live replay
-    (their runs clone a representative's findings), so the cache
-    captures checkpoints only where one is needed and **rebuilds**
-    missing ones on demand by replaying the pre-failure trace prefix —
-    the slow path taken only when a quarantined representative forces
-    a fallback replay at a skipped marker.
-
-    Dict-like on purpose: worker task bodies index it exactly like the
-    plain ``{fid: ShadowPM}`` dict it replaces.
-    """
-
-    def __init__(self, rebuild=None):
-        self._checkpoints = {}
-        self._rebuild = rebuild
-        #: Markers that never got a checkpoint (every run there was
-        #: deduped, journaled, or absent).
-        self.skipped = 0
-        #: Skipped markers later rebuilt for a fallback replay.
-        self.rebuilt = 0
-
-    def capture(self, fid, shadow):
-        self._checkpoints[fid] = shadow.checkpoint()
-
-    def note_skipped(self, fid):
-        self.skipped += 1
-
-    def __contains__(self, fid):
-        return fid in self._checkpoints
-
-    def __len__(self):
-        return len(self._checkpoints)
-
-    def __getitem__(self, fid):
-        checkpoint = self._checkpoints.get(fid)
-        if checkpoint is not None:
-            return checkpoint
-        if self._rebuild is None:
-            raise KeyError(fid)
-        checkpoint = self._rebuild(fid)
-        self._checkpoints[fid] = checkpoint
-        self.rebuilt += 1
-        return checkpoint
 
 
 def _covered_by(start, end, ranges):

@@ -9,8 +9,7 @@ and asserts byte-identical persistence and consistency verdicts.
 
 :func:`reference_bugs` is the paper's interleaved backend schedule
 over that shadow, with none of the detector's machinery (checkpoints,
-executors, dedup, memo, telemetry); the detector's bug lists must equal
-it.
+executors, memo, telemetry); the detector's bug lists must equal it.
 
 Keep this module boring.  Optimizations belong in ``shadow.py``; any
 semantic change to the FSM must land in **both** files (the property

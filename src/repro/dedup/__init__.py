@@ -1,35 +1,19 @@
-"""Crash-state deduplication and replay memoization (``repro.dedup``).
+"""Replay-prefix memoization (``repro.dedup``).
 
-Many failure points crash into byte-identical pool images — no persist
-landed between two ordering points, or a sampled crash-state variant
-reverted the only volatile lines that differed.  Re-running recovery
-and re-replaying the post-failure trace for each of them repeats work
-whose outcome is already known: workload execution is deterministic, so
-identical crash images produce identical post-failure traces, and
-identical shadow state over a trace's read set produces identical
-replay findings.  This package removes that redundancy in three layers:
+Every post-failure task starts recovery from its failure point's crash
+image.  Consecutive failure points differ by a handful of cache lines,
+so rebuilding each image from scratch (``SnapshotStore.materialize``
+plus a ``PMPool`` copy, O(pool) per task) rewrites mostly identical
+bytes.  :class:`~repro.dedup.memo.ImageMemo` keeps one rolling crash
+image per worker, advanced by the store's per-failure-point deltas, so
+preparing a task costs O(divergence) instead.
 
-* :mod:`repro.dedup.fingerprint` — an incremental XOR-fold content
-  hash over the delta snapshot store's touched cache lines, so equal
-  fingerprints imply equal crash images without ever materializing a
-  full pool;
-* :mod:`repro.dedup.classes` — :class:`DedupIndex`, the equivalence
-  classes of post-failure task keys: one representative per class
-  executes, the others receive its outcome with per-member provenance
-  rewritten (and fall back to executing themselves if the
-  representative is quarantined — a class is never silently dropped);
-* :mod:`repro.dedup.memo` — :class:`ImageMemo`, a per-worker rolling
-  crash-image buffer advanced by per-failure-point deltas, replacing
-  the O(pool) materialize-and-copy per post-failure task with O(delta).
-
-Everything is gated by the one switch ``DetectorConfig.dedup``
-(CLI ``run --no-dedup``, env ``XFD_DEDUP=0``); reports with dedup on
-are content-identical to an undeduplicated run modulo the
-skipped-work counters (``post_runs_deduped``, ``replays_deduped``).
+The memo is the post-failure stage's as-written restore path whenever
+the store records deltas; the persisted-only ablation mode keeps the
+materialize path.  Every failure point still runs and replays: the
+memo changes how an image is built, never which crash states execute.
 """
 
-from repro.dedup.classes import DedupIndex
-from repro.dedup.fingerprint import PoolFold, blob_hash, line_hash
 from repro.dedup.memo import (
     ImageMemo,
     TrackedPool,
@@ -38,12 +22,8 @@ from repro.dedup.memo import (
 )
 
 __all__ = [
-    "DedupIndex",
     "ImageMemo",
-    "PoolFold",
     "TrackedPool",
-    "blob_hash",
-    "line_hash",
     "memo_for",
     "drop_local_memo",
 ]

@@ -18,7 +18,8 @@ worker pool:
   (:mod:`repro.exec.shm`) so workers attach zero-copy, and failure
   points dispatched in contiguous batches
   (:func:`~repro.exec.base.plan_batches`) so each worker's
-  ``repro.dedup.ImageMemo`` cursor amortizes across the batch.
+  replay-prefix memo (``repro.dedup.ImageMemo``) cursor amortizes
+  across the batch.
 
 Task keys are issued in canonical ``(fid, variant)`` order and results
 are consumed in submission order, so reports and metrics are identical

@@ -37,12 +37,13 @@ class TaskOutcome:
 def plan_batches(keys, batch_size):
     """Group task keys into contiguous dispatch batches.
 
-    Keys arrive in canonical order — fid-ascending, dedup
-    representatives before fallback waves — and a batch must preserve
-    that so a worker's memo cursor only ever advances forward within
-    one dispatch.  A batch therefore closes at ``batch_size`` keys or
-    wherever the fid sequence steps backwards (a new dedup fallback
-    wave or a variant sweep restarting), whichever comes first.
+    Keys arrive in canonical order — fid-ascending, each failure
+    point's base run before its crash-state variants — and a batch
+    must preserve that so a worker's replay-prefix memo cursor
+    (``repro.dedup.ImageMemo``) only ever advances forward within one
+    dispatch.  A batch therefore closes at ``batch_size`` keys or
+    wherever the fid sequence steps backwards (a retry wave restarting
+    from an earlier point), whichever comes first.
     Non-tuple keys (toy phases in tests) batch purely by size.
     """
     batches = []

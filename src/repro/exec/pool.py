@@ -27,7 +27,8 @@ lifetime:
   :class:`~repro.exec.shm.ShmStoreView` (workers attach the shared
   segment zero-copy) and shadow checkpoints travel per batch.  Each
   worker keeps its attached store — and with it one long-lived
-  ``repro.dedup.ImageMemo`` — for the whole run.
+  replay-prefix memo (``repro.dedup.ImageMemo``), the as-written
+  crash-image restore path — for the whole run.
 """
 
 from __future__ import annotations

@@ -185,8 +185,7 @@ def run_post_task(ctx, key):
             # legacy materialize path — its base image is the strict
             # view, which the memo's working buffer does not model.
             use_memo = (
-                getattr(config, "dedup", False)
-                and config.crash_image_mode is CrashImageMode.AS_WRITTEN
+                config.crash_image_mode is CrashImageMode.AS_WRITTEN
                 and hasattr(ctx.store, "deltas")
             )
             with spans.span("materialize_image"):
@@ -287,18 +286,15 @@ class ReplayPhaseContext:
 
     def export_for_workers(self, plane):
         """The warm-pool shipping form: checkpoints and run traces are
-        stripped here and travel per batch (:meth:`batch_payload`) —
-        the checkpoint cache holds a rebuild closure and a lock, which
-        must stay parent-side."""
+        stripped here and travel per batch (:meth:`batch_payload`), so
+        a worker never holds more than one batch's worth of them."""
         return ReplayPhaseContext(
             self.config, {}, {}, self.resilience
         )
 
     def batch_payload(self, keys):
         """The per-batch slice of this phase's inputs: the shadow
-        checkpoints and recorded post-traces the batch's keys need.
-        Indexing the checkpoint cache here (in the parent) triggers any
-        on-demand rebuild before pickling."""
+        checkpoints and recorded post-traces the batch's keys need."""
         fids = sorted({key[0] for key in keys})
         return (
             {fid: self.checkpoints[fid] for fid in fids},

@@ -5,7 +5,7 @@ A :class:`LiveBus` is the single emission point for
 ``telemetry.emit(kind, **data)``, the bus stamps the envelope
 (sequence number, timestamp, run id) and fans the event out to its
 sinks under one lock.  It also maintains a :class:`RunProgress`
-aggregate (phase, points done/total, findings, incidents, dedup hits)
+aggregate (phase, points done/total, findings, incidents)
 that heartbeats snapshot, so every sink can render live progress
 without keeping its own books.
 
@@ -33,8 +33,8 @@ class RunProgress:
 
     __slots__ = (
         "workload", "phase", "points_total", "points_done",
-        "points_injected", "findings", "incidents", "dedup_hits",
-        "workers", "started_ts", "finished",
+        "points_injected", "findings", "incidents", "workers",
+        "started_ts", "finished",
     )
 
     def __init__(self):
@@ -45,7 +45,6 @@ class RunProgress:
         self.points_injected = 0
         self.findings = 0
         self.incidents = 0
-        self.dedup_hits = 0
         self.workers = set()
         self.started_ts = None
         self.finished = False
@@ -71,15 +70,6 @@ class RunProgress:
             self.findings += 1
         elif kind == "incident":
             self.incidents += 1
-        elif kind == "dedup_hit":
-            self.dedup_hits += 1
-            self.points_done += 1  # a clone completes its point
-
-    def dedup_ratio(self):
-        """Fraction of completed points satisfied by a clone."""
-        if not self.points_done:
-            return 0.0
-        return self.dedup_hits / self.points_done
 
     def snapshot(self):
         """Plain-dict view, embedded in every heartbeat."""
@@ -91,7 +81,6 @@ class RunProgress:
             "points_injected": self.points_injected,
             "findings": self.findings,
             "incidents": self.incidents,
-            "dedup_hits": self.dedup_hits,
             "workers": len(self.workers),
         }
 

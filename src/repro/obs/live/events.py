@@ -4,11 +4,11 @@ One detection run is an ordered stream of :class:`LiveEvent` records:
 run lifecycle (``run_started`` / ``run_finished``), phase lifecycle
 (``phase_started`` / ``phase_finished``), per-failure-point progress
 (``point_injected`` / ``point_dispatched`` / ``point_completed``),
-findings and incidents as they are merged, dedup hits, worker
-lifecycle, and periodic heartbeats.  Every sink — the TTY progress
-renderer, the NDJSON stream file, the Prometheus textfile writer, the
-HTML report — consumes exactly this stream, and the future service
-daemon streams it to clients unchanged.
+findings and incidents as they are merged, worker lifecycle, and
+periodic heartbeats.  Every sink — the TTY progress renderer, the
+NDJSON stream file, the Prometheus textfile writer, the HTML report —
+consumes exactly this stream, and the future service daemon streams it
+to clients unchanged.
 
 The schema is versioned: every serialized event carries ``v``, and
 :func:`event_from_dict` refuses records from a different major version
@@ -43,6 +43,8 @@ EVENT_KINDS = frozenset({
     "point_completed",
     "finding",
     "incident",
+    # Emitted by no current run (crash-state dedup classes are gone);
+    # kept so v1 streams recorded while they existed still load.
     "dedup_hit",
     "heartbeat",
     "worker_spawned",

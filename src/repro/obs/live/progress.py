@@ -2,10 +2,10 @@
 
 Renders a single self-overwriting status line from the live event
 stream: current phase, a points progress bar, completion rate,
-findings, incidents, and the dedup ratio.  Auto-enabled only when the
-stream is a TTY (``--quiet`` forces it off, ``--progress`` forces it
-on for pipelines that want the line in a log); a disabled renderer
-costs one attribute check per event.
+findings, and incidents.  Auto-enabled only when the stream is a TTY
+(``--quiet`` forces it off, ``--progress`` forces it on for pipelines
+that want the line in a log); a disabled renderer costs one attribute
+check per event.
 
 Rendering is throttled to ``min_interval`` except at phase boundaries
 and heartbeats, so a fast post-failure phase does not spend its time
@@ -69,7 +69,7 @@ class ProgressRenderer:
                       "run_started"):
             self._render(event, force=True)
         elif kind in ("point_completed", "point_injected",
-                      "dedup_hit", "finding", "incident"):
+                      "finding", "incident"):
             self._render(event)
 
     def close(self):
@@ -141,6 +141,4 @@ class ProgressRenderer:
         bits.append(f"{progress.findings} finding(s)")
         if progress.incidents:
             bits.append(f"{progress.incidents} incident(s)")
-        if progress.dedup_hits:
-            bits.append(f"dedup {100 * progress.dedup_ratio():.0f}%")
         return " · ".join(bits)

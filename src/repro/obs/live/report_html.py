@@ -11,7 +11,7 @@ Sections:
 * header strip — workload, run id, wall-clock, headline counters;
 * phase timeline — one bar per phase, positioned on the run's clock;
 * failure-point heatmap — one cell per post-failure point, shaded by
-  execution time, cloned (dedup) points hatched out;
+  execution time;
 * flamegraph — the span hierarchy as a pure-CSS icicle chart (child
   width = share of parent duration), when span records are provided;
 * findings and incidents tables.
@@ -47,8 +47,6 @@ th { background: #f2f4f7; }
           white-space: nowrap; box-sizing: border-box; }
 .heatmap { display: flex; flex-wrap: wrap; gap: 2px; }
 .cell { width: 14px; height: 14px; border-radius: 2px; }
-.cell.cloned { background: repeating-linear-gradient(45deg,
-               #c9cdd4 0 3px, #eceef1 3px 6px) !important; }
 .flame { font-size: 0.78em; }
 .frame { box-sizing: border-box; min-width: 1px; }
 .frame > .flabel { background: #e8b04a; border: 1px solid #fff;
@@ -116,20 +114,14 @@ def _phase_rows(events, start_ts, end_ts):
 
 
 def _heatmap(events):
-    points = []  # (fid, variant, seconds, worker, cloned)
+    points = []  # (fid, variant, seconds, worker)
     for event in events:
         if event.kind == "point_completed" and \
                 event.data.get("phase") == "post_exec":
             points.append((
                 event.data.get("fid"), event.data.get("variant"),
                 float(event.data.get("seconds") or 0.0),
-                event.data.get("worker"), False,
-            ))
-        elif event.kind == "dedup_hit" and \
-                event.data.get("stage") == "post_exec":
-            points.append((
-                event.data.get("fid"), event.data.get("variant"),
-                0.0, None, True,
+                event.data.get("worker"),
             ))
     if not points:
         return '<p class="muted">no post-failure points recorded</p>'
@@ -139,21 +131,16 @@ def _heatmap(events):
     ))
     peak = max(p[2] for p in points) or 1.0
     cells = []
-    for fid, variant, seconds, worker, cloned in points:
+    for fid, variant, seconds, worker in points:
         label = f"fid={fid}"
         if variant is not None:
             label += f" variant={variant}"
-        if cloned:
-            label += " (cloned from dedup class)"
-        else:
-            label += f" {seconds * 1000:.1f}ms"
-            if worker:
-                label += f" on {worker}"
-        klass = "cell cloned" if cloned else "cell"
-        style = "" if cloned else \
-            f' style="background:{_heat_color(seconds / peak)}"'
+        label += f" {seconds * 1000:.1f}ms"
+        if worker:
+            label += f" on {worker}"
         cells.append(
-            f'<div class="{klass}"{style} '
+            f'<div class="cell" '
+            f'style="background:{_heat_color(seconds / peak)}" '
             f'title="{_esc(label)}"></div>'
         )
     return f'<div class="heatmap">{"".join(cells)}</div>'
@@ -291,7 +278,6 @@ def render_report(events, span_records=None, title=None):
     duration = max(0.0, finished.ts - started.ts)
     findings = sum(1 for e in run if e.kind == "finding")
     incidents = sum(1 for e in run if e.kind == "incident")
-    dedup_hits = sum(1 for e in run if e.kind == "dedup_hit")
     completed = sum(1 for e in run if e.kind == "point_completed")
     heartbeats = sum(1 for e in run if e.kind == "heartbeat")
     workers = {
@@ -306,7 +292,6 @@ def render_report(events, span_records=None, title=None):
         ("points completed", completed),
         ("findings", findings),
         ("incidents", incidents),
-        ("dedup hits", dedup_hits),
         ("workers", len(workers) or 1),
         ("wall-clock", f"{duration:.2f}s"),
     ]

@@ -125,22 +125,13 @@ class SnapshotCursor:
 class SnapshotStore:
     """Append-only store of per-failure-point pool deltas."""
 
-    def __init__(self, fingerprints=False):
+    def __init__(self):
         self._snapshots = []  # fid -> [PoolDelta, ...]
         self._known_pools = set()
         #: Image bytes actually recorded across all snapshots.
         self.recorded_bytes = 0
         #: Image bytes the legacy full-copy scheme would have recorded.
         self.full_equivalent_bytes = 0
-        #: Maintain incremental crash-image fingerprints per capture
-        #: (``repro.dedup``): O(dirty lines) extra hashing per failure
-        #: point, enabling crash-state deduplication.
-        self.fingerprints = fingerprints
-        #: Bytes fed to the fingerprint hash so far (the
-        #: ``dedup_bytes_hashed`` metric).
-        self.hashed_bytes = 0
-        self._folds = {}  # pool name -> repro.dedup.PoolFold
-        self._records = []  # fid -> per-pool fingerprint tuple | None
         #: Once frozen (after crash plans are built and the store may
         #: have been published to shared memory), captures are refused:
         #: workers hold raw byte offsets into the published payload and
@@ -210,7 +201,6 @@ class SnapshotStore:
             self.full_equivalent_bytes += 2 * pool.size
         fid = len(self._snapshots)
         self._snapshots.append(deltas)
-        self._fingerprint_capture(deltas, hash_full=False)
         return fid
 
     def capture_full(self, images):
@@ -228,42 +218,7 @@ class SnapshotStore:
             self.full_equivalent_bytes += 2 * image.size
         fid = len(self._snapshots)
         self._snapshots.append(deltas)
-        self._fingerprint_capture(deltas, hash_full=True)
         return fid
-
-    def _fingerprint_capture(self, deltas, hash_full):
-        """Fold the just-captured deltas into the per-pool fingerprints
-        and record the new failure point's fingerprint tuple.
-
-        ``hash_full`` is False for :meth:`capture`, which records each
-        pool's full image once per store, so its fold starts from a
-        constant; :meth:`capture_full` records a full image at every
-        failure point and must hash it."""
-        if not self.fingerprints:
-            self._records.append(None)
-            return
-        from repro.dedup.fingerprint import PoolFold
-
-        record = []
-        for delta in deltas:
-            fold = self._folds.get(delta.pool_name)
-            if fold is None:
-                fold = self._folds[delta.pool_name] = PoolFold()
-            if delta.full is None:
-                for offset, data, persisted in delta.lines:
-                    self.hashed_bytes += fold.update_line(
-                        offset, data, persisted
-                    )
-            elif hash_full:
-                self.hashed_bytes += fold.reset_full(
-                    delta.full.data, delta.full.persisted_data
-                )
-            else:
-                self.hashed_bytes += fold.reset_base()
-            record.append(
-                (delta.pool_name,) + fold.record(delta.volatile_lines)
-            )
-        self._records.append(tuple(record))
 
     # -- queries --------------------------------------------------------
 
@@ -277,16 +232,6 @@ class SnapshotStore:
     def deltas(self, fid):
         """The per-pool delta records at failure point ``fid``."""
         return self._snapshots[fid]
-
-    def fingerprint(self, fid):
-        """The crash-image fingerprint at ``fid``: one
-        ``(pool_name, data_fold, persist_fold, volatile_lines)`` tuple
-        per pool, or None when fingerprints are off (or the store
-        crossed a pickle boundary, which drops them — only the parent
-        builds dedup classes)."""
-        if fid >= len(self._records):
-            return None
-        return self._records[fid]
 
     # -- materialization (post-failure / inspection) --------------------
 
@@ -312,9 +257,6 @@ class SnapshotStore:
     # -- pickling (the store crosses into forked workers) ---------------
 
     def __getstate__(self):
-        # Fingerprint folds and records stay behind: dedup classes are
-        # built in the parent before any fan-out, and the folds' line
-        # dictionaries would bloat every worker.
         return {
             "snapshots": self._snapshots,
             "known_pools": sorted(self._known_pools),
@@ -327,10 +269,6 @@ class SnapshotStore:
         self._known_pools = set(state["known_pools"])
         self.recorded_bytes = state["recorded_bytes"]
         self.full_equivalent_bytes = state["full_equivalent_bytes"]
-        self.fingerprints = False
-        self.hashed_bytes = 0
-        self._folds = {}
-        self._records = []
         # A store only crosses a pickle boundary on its way into a
         # worker, where capturing is never legal.
         self.frozen = True

@@ -2,6 +2,9 @@
 attached, the byte-identical-report guarantee with telemetry on, the
 event-stream determinism contract, and the HTML report CLI."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import cli
@@ -10,11 +13,19 @@ from repro.exec import ProcessExecutor
 from repro.obs import run_records
 from repro.obs.live import (
     EVENT_KINDS,
+    event_from_dict,
     normalized_stream,
     parse_exposition,
     read_events,
 )
 from repro.workloads import HashmapAtomicWorkload
+
+#: A schema-v1 event stream of a run with crash-state dedup classes
+#: (four post-failure clones and four replay clones).
+V1_DEDUP_STREAM = (
+    Path(__file__).resolve().parents[1] / "fixtures"
+    / "live_v1_dedup_hit.ndjson"
+)
 
 
 def _workload():
@@ -210,6 +221,26 @@ class TestReportCli:
         # The joined span records produce the flamegraph section.
         assert "Span profile" in html
         assert 'class="flame"' in html
+        assert capsys.readouterr().out.count("report.html") >= 1
+
+    def test_report_renders_v1_stream_with_dedup_hit(
+        self, tmp_path, capsys
+    ):
+        """A v1 stream recorded while crash-state dedup classes still
+        existed carries ``dedup_hit`` records; it still loads through
+        ``event_from_dict`` and renders."""
+        lines = V1_DEDUP_STREAM.read_text().splitlines()
+        events = [event_from_dict(json.loads(line)) for line in lines]
+        assert sum(e.kind == "dedup_hit" for e in events) == 8
+        out_path = tmp_path / "report.html"
+        rc = cli.main([
+            "report", str(V1_DEDUP_STREAM), "--out", str(out_path),
+        ])
+        assert rc == 0
+        html = out_path.read_text()
+        assert "forced_duplicates" in html
+        # One heatmap cell per executed post-failure point.
+        assert html.count('<div class="cell"') == 4
         assert capsys.readouterr().out.count("report.html") >= 1
 
     def test_report_rejects_corrupt_stream(self, tmp_path):

@@ -236,9 +236,9 @@ def _bug_dicts(workload_name, bugs):
 
 class TestCheckpointedEqualsInterleaved:
     def test_audit_schedule_matches_checkpointed_reports(self):
-        """An audited run (every replay recorded, no replay-level
-        dedup, the shadow's fast paths bypassed) and the default run
-        produce identical bug lists."""
+        """An audited run (every replay recorded, the shadow's fast
+        paths bypassed) and the default run produce identical bug
+        lists."""
         make = lambda: HashmapAtomicWorkload(
             faults={"skip_persist_count"}, test_size=3
         )
@@ -251,7 +251,7 @@ class TestCheckpointedEqualsInterleaved:
 
     @pytest.mark.parametrize("make", _reference_cases())
     def test_default_report_matches_reference_oracle(self, make):
-        """The checkpointed backend (dedup, memo, checkpoints) against
+        """The checkpointed backend (memo, checkpoints) against
         the interleaved schedule over the reference shadow, on one
         shared frontend result."""
         config = DetectorConfig()

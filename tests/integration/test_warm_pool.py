@@ -1,8 +1,9 @@
 """The warm persistent pool end-to-end (repro.exec.pool + shm).
 
 Four guarantees: (a) warm-pool runs report byte-identically to serial
-at any batch size, including across forced failure points, dedup class
-boundaries, and a journal resume that lands mid-batch; (b) every
+at any batch size, including across bursts of forced failure points
+with identical crash images and a journal resume that lands
+mid-batch; (b) every
 shared-memory segment a run publishes is unlinked by the time the run
 returns — on normal exit, on PhaseSupervisor quarantine, and on chaos
 worker death; (c) faults under the warm pool degrade exactly like the
@@ -61,9 +62,9 @@ def _bugs_by_point(report):
 class BurstWorkload(Workload):
     """Forced failure-point bursts between real persists.
 
-    Each burst's points share one crash image (a dedup class), and the
-    persists between bursts are class boundaries — so any batch wider
-    than a burst straddles a boundary, and every batch contains forced
+    Each burst's points share one crash image, and the persists
+    between bursts change it — so any batch wider than a burst
+    straddles an image change, and every batch contains forced
     (never-pruned) points.  The unpersisted sentinel store makes the
     recovery read a cross-failure race, so bug provenance per fid is
     also exercised.
@@ -136,7 +137,6 @@ class TestWarmDeterminism:
         reference, _ = _run(
             workload=BurstWorkload(test_size=4), jobs=1
         )
-        assert reference.stats.post_runs_deduped > 0
         for batch_size in (1, 3, 16):
             report, _ = _run(
                 workload=BurstWorkload(test_size=4),
@@ -191,9 +191,7 @@ class TestResumeMidBatch:
         )
         # Warm batches must be invisible to the resume splice...
         assert _report_dict(warm_resumed) == _report_dict(serial_resumed)
-        # ...and the findings identical to the uninterrupted run (only
-        # the dedup work counters may differ: journaled points are
-        # spliced, not re-deduplicated).
+        # ...and the findings identical to the uninterrupted run.
         assert _bugs_by_point(warm_resumed) == _bugs_by_point(reference)
         assert live_segments() == []
 

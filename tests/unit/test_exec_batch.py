@@ -28,9 +28,8 @@ class TestPlanBatches:
         assert plan_batches(keys, 0) == [[key] for key in keys]
 
     def test_backward_fid_jump_closes_the_batch(self):
-        # A dedup fallback wave (or a variant sweep restart) re-issues
-        # earlier fids; the memo cursor must never be asked to walk
-        # backwards inside a batch.
+        # A retry wave re-issues earlier fids; the memo cursor must
+        # never be asked to walk backwards inside a batch.
         keys = [(0, None, None), (3, None, None), (1, None, None),
                 (2, None, None)]
         batches = plan_batches(keys, 10)
@@ -211,6 +210,20 @@ class TestEnvDefaults:
     def test_xfd_batch_size_default(self, monkeypatch):
         monkeypatch.delenv("XFD_BATCH_SIZE", raising=False)
         assert DetectorConfig().batch_size == 8
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("abc", 8),  # unparseable: the default
+        ("0", 1),  # non-positive: clamped to 1
+        ("-3", 1),
+        ("4", 4),
+        (None, 8),  # unset: the default
+    ])
+    def test_xfd_batch_size_values(self, monkeypatch, raw, expected):
+        if raw is None:
+            monkeypatch.delenv("XFD_BATCH_SIZE", raising=False)
+        else:
+            monkeypatch.setenv("XFD_BATCH_SIZE", raw)
+        assert DetectorConfig().batch_size == expected
 
     def test_xfd_warm_pool(self, monkeypatch):
         monkeypatch.delenv("XFD_WARM_POOL", raising=False)

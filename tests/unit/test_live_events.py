@@ -175,16 +175,14 @@ class TestLiveBus:
         bus.emit("run_started", workload="w")
         bus.emit("phase_started", phase="post_exec", points=4)
         bus.emit("point_completed", phase="post_exec", fid=0)
-        bus.emit("dedup_hit", stage="post_exec", fid=1)
         bus.emit("finding", bug_kind="PERFORMANCE")
         bus.emit("incident", incident_kind="hang")
         progress = bus.progress
         assert progress.workload == "w"
         assert progress.points_total == 4
-        assert progress.points_done == 2  # completion + dedup clone
+        assert progress.points_done == 1
         assert progress.findings == 1
         assert progress.incidents == 1
-        assert progress.dedup_ratio() == pytest.approx(0.5)
 
     def test_worker_lifecycle_synthesized(self):
         sink = CaptureSink()

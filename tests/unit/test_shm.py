@@ -35,7 +35,6 @@ def _make_store():
         PoolDelta("log", 0x4000, 128,
                   lines=[(0, b"Y" * 64, b"y" * 64)]),
     ])
-    store._records.append(None)
     store._snapshots.append([
         PoolDelta("heap", 0x1000, 256,
                   lines=[(0, b"Z" * 64, b"z" * 64),
@@ -43,7 +42,6 @@ def _make_store():
                   volatile_lines=(0, 192)),
         PoolDelta("log", 0x4000, 128, lines=[]),
     ])
-    store._records.append(None)
     # The hand-appended deltas bypass capture(); keep the accounting
     # consistent so the attached mirror can reproduce it.
     for deltas in store._snapshots[1:]:
