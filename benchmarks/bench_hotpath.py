@@ -14,7 +14,7 @@ cost; this benchmark tracks that cost directly.  Two gates:
   checkpointed replay, image memo, coalescing/memoized ShadowPM)
   against two references on the full Table 4 microbenchmark set (tiny
   sizes, so CI can afford it): the interleaved schedule over the
-  unoptimized shadow (:func:`repro.core.shadow_ref.reference_bugs`,
+  unoptimized shadow (:func:`tests.shadow_ref.reference_bugs`,
   same bug list), and an audited run — ``DetectorConfig(audit=True)``
   replays every point into its own audit scope and bypasses the
   shadow's coalescing and memo lookups whenever an audit sink is
@@ -42,8 +42,9 @@ from benchmarks._common import (
 from repro.core import DetectorConfig, XFDetector
 from repro.core.frontend import Frontend
 from repro.core.report import DetectionReport
-from repro.core.shadow_ref import reference_bugs
 from repro.workloads import MICROBENCHMARKS
+
+from tests.shadow_ref import reference_bugs
 
 #: Pre-change serial cost of the acceptance configuration (hashmap_tx
 #: @ 30 transactions, jobs=1, with the since-removed crash-state dedup

@@ -291,95 +291,6 @@ def _build_parser():
                               "(default: the middle one)")
     inspect.add_argument("--strict-image", action="store_true")
 
-    def _add_state_dir(cmd):
-        cmd.add_argument("--state-dir", default=None, metavar="DIR",
-                         help="service state directory (default: "
-                              "XFD_SERVICE_DIR or ~/.xfdetector)")
-
-    serve = sub.add_parser(
-        "serve", help="run the detection daemon: accept jobs over a "
-                      "local REST API, shard them over a warm worker "
-                      "fleet, and survive crashes via journals"
-    )
-    _add_state_dir(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="API port (default: ephemeral; the bound "
-                            "port is advertised in daemon.json)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="fleet worker processes (default 2)")
-    serve.add_argument("--shard-jobs", type=int, default=1,
-                       help="executor width inside each fleet worker "
-                            "(default 1 = serial; >1 keeps a warm "
-                            "process pool alive across jobs)")
-    serve.add_argument("--batch-size", type=int, default=8,
-                       help="failure points per warm-pool dispatch")
-    serve.add_argument("--no-warm-pool", action="store_true",
-                       help="serial executors inside fleet workers "
-                            "even when --shard-jobs > 1")
-    serve.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                       help="seconds without a shard heartbeat before "
-                            "the reaper reclaims it")
-    serve.add_argument("--shard-timeout", type=float, default=None,
-                       help="wall-clock budget per shard attempt "
-                            "(reclaimed even while heartbeating)")
-    serve.add_argument("--max-shard-retries", type=int, default=2,
-                       help="reclaims before a shard is abandoned and "
-                            "the job degrades (default 2)")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="seconds a drain waits for in-flight "
-                            "shards before killing them (their "
-                            "journals keep the progress)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a detection job to a running daemon"
-    )
-    _add_state_dir(submit)
-    submit.add_argument("workload", choices=sorted(ALL_WORKLOADS))
-    submit.add_argument("--init", type=int, default=0)
-    submit.add_argument("--test", type=int, default=4)
-    submit.add_argument("--fault", action="append", default=[])
-    submit.add_argument("--shards", type=int, default=2,
-                        help="contiguous failure-point ranges the job "
-                             "is split into (default 2)")
-    submit.add_argument("--strict-image", action="store_true")
-    submit.add_argument("--no-perf-bugs", action="store_true")
-    submit.add_argument("--crash-states", type=int, default=0)
-    submit.add_argument("--plan-mode", default=None,
-                        choices=("exhaustive", "mechanism", "hybrid"))
-    submit.add_argument("--max-failure-points", type=int, default=None)
-    submit.add_argument("--deadline", type=float, default=None,
-                        help="per-execution wall-clock budget inside "
-                             "shards")
-    submit.add_argument("--max-retries", type=int, default=None)
-    submit.add_argument("--label", default=None)
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes, then "
-                             "print its report (exit 1 when bugs "
-                             "were found, 3 when the job failed)")
-
-    status = sub.add_parser(
-        "status", help="show service jobs (reads the state directory "
-                       "directly; works with or without a daemon)"
-    )
-    _add_state_dir(status)
-    status.add_argument("job_id", nargs="?", default=None)
-    status.add_argument("--json", action="store_true")
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel a service job on a running daemon"
-    )
-    _add_state_dir(cancel)
-    cancel.add_argument("job_id")
-
-    doctor = sub.add_parser(
-        "doctor", help="scan for leaked shared-memory segments, stale "
-                       "daemon records, and abandoned job journals"
-    )
-    _add_state_dir(doctor)
-    doctor.add_argument("--clean", action="store_true",
-                        help="remove what is safely removable")
-    doctor.add_argument("--json", action="store_true")
     return parser
 
 
@@ -890,251 +801,6 @@ def _cmd_inspect(args):
     return 0
 
 
-def _service_state_dir(args):
-    if args.state_dir:
-        return args.state_dir
-    return os.environ.get(
-        "XFD_SERVICE_DIR", os.path.expanduser("~/.xfdetector")
-    )
-
-
-def _daemon_url(state_dir):
-    """The advertised URL of the live daemon, or a CLI error."""
-    from repro.service.daemon import daemon_alive, read_daemon_info
-
-    info = read_daemon_info(state_dir)
-    if not daemon_alive(info):
-        print(
-            f"xfdetector: error: no daemon serving {state_dir} "
-            f"(start one with: xfdetector serve --state-dir "
-            f"{state_dir})",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return info["url"]
-
-
-def _api(url, path, payload=None):
-    """One JSON round-trip with the daemon."""
-    from urllib import error, request
-
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-    req = request.Request(url + path, data=data, headers=headers)
-    try:
-        with request.urlopen(req, timeout=30.0) as response:
-            return json.loads(response.read() or b"{}")
-    except error.HTTPError as exc:
-        try:
-            detail = json.loads(exc.read()).get("error", "")
-        except (ValueError, OSError):
-            detail = ""
-        print(
-            f"xfdetector: error: {path} -> {exc.code}"
-            + (f": {detail}" if detail else ""),
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    except OSError as exc:
-        print(
-            f"xfdetector: error: daemon unreachable at {url}: {exc}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-
-
-def _cmd_serve(args):
-    from repro.service import FleetSettings, Reaper
-    from repro.service.daemon import ServiceDaemon
-
-    state_dir = _service_state_dir(args)
-    daemon = ServiceDaemon(
-        state_dir,
-        settings=FleetSettings(
-            workers=max(1, args.workers),
-            shard_jobs=max(1, args.shard_jobs),
-            batch_size=max(1, args.batch_size),
-            warm_pool=not args.no_warm_pool,
-        ),
-        reaper=Reaper(
-            heartbeat_timeout=args.heartbeat_timeout,
-            shard_timeout=args.shard_timeout,
-            max_shard_retries=max(0, args.max_shard_retries),
-        ),
-        host=args.host,
-        port=args.port,
-        drain_timeout=args.drain_timeout,
-    )
-    print(
-        f"-- serving {state_dir} at http://{daemon.host}:"
-        f"{daemon.port} (pid {os.getpid()}); SIGTERM drains",
-        file=sys.stderr,
-    )
-    unfinished = daemon.serve()
-    if unfinished:
-        print(
-            f"-- drained with {unfinished} job(s) journaled for "
-            f"resume on the next serve",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_submit(args):
-    import time
-
-    state_dir = _service_state_dir(args)
-    url = _daemon_url(state_dir)
-    spec = {
-        "workload": args.workload,
-        "faults": list(args.fault),
-        "init_size": args.init,
-        "test_size": args.test,
-        "shards": args.shards,
-        "strict_image": args.strict_image,
-        "report_perf_bugs": not args.no_perf_bugs,
-        "crash_state_variants": args.crash_states,
-    }
-    if args.plan_mode is not None:
-        spec["plan_mode"] = args.plan_mode
-    if args.max_failure_points is not None:
-        spec["max_failure_points"] = args.max_failure_points
-    if args.deadline is not None:
-        spec["exec_deadline"] = args.deadline
-    if args.max_retries is not None:
-        spec["max_retries"] = args.max_retries
-    if args.label is not None:
-        spec["label"] = args.label
-    job_id = _api(url, "/api/v1/jobs", spec)["job_id"]
-    print(job_id)
-    if not args.wait:
-        return 0
-    while True:
-        record = _api(url, f"/api/v1/jobs/{job_id}")
-        if record["finished"]:
-            break
-        time.sleep(0.5)
-    if record["state"] in ("FAILED", "CANCELLED"):
-        print(
-            f"xfdetector: job {job_id} {record['state']}: "
-            f"{record.get('detail')}",
-            file=sys.stderr,
-        )
-        return 3
-    from repro.service import JobStore
-
-    store = JobStore(state_dir)
-    with open(store.report_path(job_id, "text")) as handle:
-        report_text = handle.read()
-    print(report_text, end="")
-    if record["state"] == "DEGRADED":
-        print(f"-- job {job_id} DEGRADED: {record.get('detail')}",
-              file=sys.stderr)
-    with open(store.report_path(job_id, "json")) as handle:
-        bugs = json.load(handle).get("bugs", [])
-    return 1 if bugs else 0
-
-
-def _format_job_line(summary):
-    shards = summary.get("shards") or []
-    done = sum(1 for s in shards if s["status"] == "done")
-    return (
-        f"{summary['job_id']:<42} {summary['state']:<9} "
-        f"shards {done}/{len(shards)}"
-        + (f"  [{summary['detail']}]" if summary.get("detail")
-           else "")
-    )
-
-
-def _cmd_status(args):
-    from repro.service import JobStore
-    from repro.service.api import _job_summary
-    from repro.service.daemon import daemon_alive, read_daemon_info
-
-    state_dir = _service_state_dir(args)
-    store = JobStore(state_dir)
-    if args.job_id:
-        try:
-            summary = _job_summary(store.load(args.job_id))
-        except (OSError, ValueError):
-            print(
-                f"xfdetector: error: no such job {args.job_id!r} "
-                f"in {state_dir}",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    summaries = []
-    for job_id in store.list_jobs():
-        try:
-            summaries.append(_job_summary(store.load(job_id)))
-        except (OSError, ValueError):
-            continue
-    if args.json:
-        info = read_daemon_info(state_dir)
-        print(json.dumps({
-            "daemon": info,
-            "daemon_alive": daemon_alive(info),
-            "jobs": summaries,
-        }, indent=2, sort_keys=True))
-        return 0
-    info = read_daemon_info(state_dir)
-    if daemon_alive(info):
-        print(f"daemon: serving at {info['url']} (pid {info['pid']})")
-    else:
-        print("daemon: not running")
-    if not summaries:
-        print("no jobs")
-        return 0
-    for summary in summaries:
-        print(_format_job_line(summary))
-    return 0
-
-
-def _cmd_cancel(args):
-    state_dir = _service_state_dir(args)
-    url = _daemon_url(state_dir)
-    result = _api(url, f"/api/v1/jobs/{args.job_id}/cancel", {})
-    print(f"{args.job_id}: {result['state']}")
-    return 0
-
-
-def _cmd_doctor(args):
-    from repro.service.doctor import clean_findings, diagnose
-
-    state_dir = args.state_dir or os.environ.get("XFD_SERVICE_DIR")
-    findings = diagnose(state_dir)
-    if args.clean:
-        removed, findings = clean_findings(findings)
-        for finding in removed:
-            print(f"removed {finding['kind']}: {finding['path']}")
-    if args.json:
-        print(json.dumps({"findings": findings}, indent=2,
-                         sort_keys=True))
-    else:
-        if not findings:
-            print("clean: nothing to report")
-            return 0
-        for finding in findings:
-            note = finding.get("note") or finding.get("state") or ""
-            print(
-                f"{finding['kind']:<18} "
-                f"{finding.get('path', finding.get('job', '?'))}"
-                + (f"  ({note})" if note else "")
-            )
-    # Non-zero only when something actionable remains, so cron can
-    # alert on it; informational findings keep exit 0.
-    actionable = [
-        f for f in findings
-        if f["kind"] in ("shm_segment", "stale_daemon", "job_litter")
-    ]
-    return 1 if actionable else 0
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -1148,11 +814,6 @@ def main(argv=None):
         "suite": _cmd_suite,
         "trace": _cmd_trace,
         "inspect": _cmd_inspect,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "cancel": _cmd_cancel,
-        "doctor": _cmd_doctor,
     }
     try:
         return handlers[args.command](args)

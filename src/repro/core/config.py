@@ -73,27 +73,6 @@ def _default_chaos():
     return raw or None
 
 
-def _default_journal_fsync():
-    """Journal durability switch: the ``XFD_JOURNAL_FSYNC`` env var,
-    default off.  When on, journal records are fsync'd so a shard's
-    progress survives host power loss, not just process death."""
-    raw = os.environ.get("XFD_JOURNAL_FSYNC", "").strip().lower()
-    return raw in ("1", "true", "on", "yes")
-
-
-def _default_journal_fsync_batch():
-    """Records per journal fsync: the ``XFD_JOURNAL_FSYNC_BATCH`` env
-    var, default 1 (every record).  Larger values amortize the sync
-    cost at the price of that many records of post-power-loss
-    exposure; invalid values degrade to 1."""
-    raw = os.environ.get("XFD_JOURNAL_FSYNC_BATCH", "").strip()
-    try:
-        batch = int(raw)
-    except ValueError:
-        return 1
-    return max(1, batch)
-
-
 @dataclass
 class DetectorConfig:
     """Tunables of the detection procedure.
@@ -159,14 +138,6 @@ class DetectorConfig:
 
     #: Hard cap on injected failure points (None = unlimited).
     max_failure_points: int | None = None
-
-    #: Restrict the post-failure stage to failure points with
-    #: ``lo <= fid < hi`` (a ``(lo, hi)`` tuple); None runs every
-    #: planned point.  This is how ``repro.service`` shards one job's
-    #: plan across a fleet: it is a *scheduling* knob — deliberately
-    #: excluded from the journal checksum — so every shard of a job
-    #: writes journals that merge into one resumable run.
-    failure_point_window: tuple | None = None
 
     #: Stop after the first cross-failure bug (useful interactively).
     fail_fast: bool = False
@@ -247,21 +218,8 @@ class DetectorConfig:
     max_retries: int = 2
 
     #: Base delay (seconds) of the exponential retry backoff
-    #: (``retry_backoff * 2**generation``, capped).
+    #: (doubled per retry wave, capped at ``BACKOFF_CAP``).
     retry_backoff: float = 0.05
-
-    #: Deterministic jitter fraction applied to each retry backoff:
-    #: the delay is scaled by ``1 + retry_jitter * u`` where ``u`` in
-    #: ``[0, 1)`` is a hash of the retried failure point, its attempt
-    #: number, and ``retry_jitter_salt``.  A fleet of shards retrying
-    #: the same flaky point therefore desynchronizes instead of
-    #: producing retry storms, while a single run stays reproducible.
-    #: 0 disables jitter.
-    retry_jitter: float = 0.1
-
-    #: Salt mixed into the retry-jitter hash.  ``repro.service`` sets
-    #: a distinct salt per shard so sibling shards spread out.
-    retry_jitter_salt: int = 0
 
     #: Chaos self-test spec, e.g. ``"crash:0.1,hang:0.05"``: inject
     #: synthetic worker faults at the given per-task rates to exercise
@@ -279,18 +237,6 @@ class DetectorConfig:
     #: are spliced from the journal and skipped.  When ``journal`` is
     #: unset, new outcomes are appended to the resumed file.
     resume: str | None = None
-
-    #: fsync the journal after records are written, so journal
-    #: progress survives host power loss rather than just process
-    #: death.  Overridable via the ``XFD_JOURNAL_FSYNC`` env var.
-    journal_fsync: bool = field(default_factory=_default_journal_fsync)
-
-    #: Records per journal fsync when ``journal_fsync`` is on (1 =
-    #: sync every record; larger values amortize the cost at the price
-    #: of that many records of exposure).  Overridable via the
-    #: ``XFD_JOURNAL_FSYNC_BATCH`` env var.
-    journal_fsync_batch: int = field(
-        default_factory=_default_journal_fsync_batch)
 
     #: Extra keyword arguments forwarded to workload stages.
     workload_options: dict = field(default_factory=dict)

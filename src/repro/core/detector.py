@@ -47,7 +47,7 @@ class XFDetector:
     checkpoint — independent tasks a ``repro.exec`` executor can fan
     out.  Bugs are merged back in the order the interleaved schedule
     (fork and replay inline at each marker; kept as the test oracle
-    :func:`repro.core.shadow_ref.reference_bugs`) produces, so reports
+    ``tests/shadow_ref.py``'s ``reference_bugs``) produces, so reports
     are byte-identical regardless of ``config.jobs``.  Audit and
     fail-fast are properties of this one path: audit scopes the
     pre-replay and each fork into the run's audit log, and fail-fast

@@ -332,14 +332,11 @@ class Frontend:
         """
         keys = []
         count = getattr(self.config, "crash_state_variants", 0)
-        window = getattr(self.config, "failure_point_window", None)
         skipped_total = 0
         for failure_point in injector.failure_points:
             if not getattr(failure_point, "planned", True):
                 continue  # collapsed by the run's crash plan
             fid = failure_point.fid
-            if window is not None and not window[0] <= fid < window[1]:
-                continue  # outside this shard's range
             keys.append((fid, None, None))
             if not count:
                 continue

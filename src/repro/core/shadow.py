@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro._rangemap import RangeMap
 from repro.obs.metrics import Counter
 from repro.pm.address import AddressRange
-from repro.pm.cacheline import FlushKind, LineState, PlatformMode
+from repro.pm.cacheline import LineState, PlatformMode
 from repro.pm.constants import CACHE_LINE_SIZE
 
 #: The backend's persistence states are the Figure 9 states; we reuse

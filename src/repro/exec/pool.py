@@ -450,29 +450,6 @@ class WarmProcessExecutor(ProcessExecutor):
             )))
         return outcomes
 
-    def end_run(self):
-        """Retire one run's context while keeping the workers warm.
-
-        The service fleet reuses a prewarmed pool *across* detection
-        runs: between runs the shared-memory plane is released (it is
-        reusable — ``publish`` after ``close`` allocates a fresh
-        segment), the parent's context cache is dropped, and every
-        worker is told to ``reset`` — detach its shm views and drop
-        its replay memo — so nothing from run N can leak into run
-        N+1's results or hold run N's segments alive.
-        """
-        if self._closed:
-            return
-        self._plane.close()
-        self._ctx_ref = _NO_CONTEXT
-        self._ctx_blob = None
-        for worker in list(self._workers):
-            try:
-                worker.conn.send(("reset",))
-                worker.generation = -1
-            except Exception:
-                self._discard(worker)
-
     def close(self):
         if self._closed:
             return

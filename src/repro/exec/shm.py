@@ -57,9 +57,9 @@ def detach_all():
     Each store drops its delta views and closes its mapping
     (:meth:`ShmSnapshotStore.detach`); a mapping still pinned by a
     straggler view elsewhere is left to GC.  Called by warm workers on
-    a run-boundary ``reset`` — after the caller has dropped its own
-    references into the segments — so the next run re-attaches fresh
-    segments instead of serving stale ones.
+    exit, after the caller has dropped its own references into the
+    segments, so the mappings close cleanly instead of riding GC
+    finalization order at interpreter shutdown.
     """
     stores = list(_ATTACHED.values())
     _ATTACHED.clear()

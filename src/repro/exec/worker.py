@@ -439,9 +439,6 @@ def warm_worker_main(conn):
       the batch, reply ``("done", index, shipped, stats)`` where
       ``shipped`` is one ``("ok", value, queue_wait)`` or
       ``("err", exc)`` per key.
-    * ``("reset",)`` — drop all per-run state (context, attached shm
-      views, replay memo) but stay alive: the service fleet reuses
-      the pool for the next detection run.
     * ``("stop",)`` — exit cleanly.
 
     The process also exits when the parent disappears (EOF on the pipe
@@ -464,22 +461,6 @@ def warm_worker_main(conn):
             break
         if message[0] == "stop":
             break
-        if message[0] == "reset":
-            import gc
-
-            from repro.dedup.memo import drop_local_memo
-            from repro.exec import shm
-
-            # Drop everything holding views into the segments (the
-            # context's store, the replay memo's crash images) before
-            # detaching, so the mappings close cleanly instead of
-            # riding GC finalization order.
-            ctx = func = None
-            attach_ms = None
-            drop_local_memo()
-            gc.collect()
-            shm.detach_all()
-            continue
         if message[0] == "ctx":
             _tag, _generation, blob = message
             ctx, func = pickle.loads(blob)

@@ -7,8 +7,7 @@ run lifecycle (``run_started`` / ``run_finished``), phase lifecycle
 findings and incidents as they are merged, worker lifecycle, and
 periodic heartbeats.  Every sink — the TTY progress renderer, the
 NDJSON stream file, the Prometheus textfile writer, the HTML report —
-consumes exactly this stream, and the future service daemon streams it
-to clients unchanged.
+consumes exactly this stream.
 
 The schema is versioned: every serialized event carries ``v``, and
 :func:`event_from_dict` refuses records from a different major version
@@ -29,10 +28,7 @@ from dataclasses import dataclass, field
 #: or to an existing kind's payload; consumers refuse other majors.
 SCHEMA_VERSION = 1
 
-#: The closed set of event kinds (schema v1).  The ``job_*``/
-#: ``shard_*``/``drain_*`` kinds are emitted only by the
-#: ``repro.service`` daemon — detection runs never produce them, but
-#: they share the schema so one consumer reads both streams.
+#: The closed set of event kinds (schema v1).
 EVENT_KINDS = frozenset({
     "run_started",
     "run_finished",
@@ -49,6 +45,8 @@ EVENT_KINDS = frozenset({
     "heartbeat",
     "worker_spawned",
     "worker_died",
+    # Emitted by no current run (the job daemon that produced them is
+    # gone); kept so v1 streams recorded while it existed still load.
     "job_submitted",
     "job_state",
     "shard_dispatched",
@@ -60,9 +58,9 @@ EVENT_KINDS = frozenset({
 
 #: Kinds whose presence/ordering depends on wall-clock or worker
 #: identity rather than the detection schedule.  Determinism
-#: comparisons drop these (everything else must match exactly) —
-#: every service kind lands here because fleet scheduling is
-#: wall-clock-driven by nature.
+#: comparisons drop these (everything else must match exactly).  The
+#: ``job_*``/``shard_*``/``drain_*`` kinds are no longer emitted; they
+#: stay here so recorded v1 streams still compare the same way.
 NONDETERMINISTIC_KINDS = frozenset({
     "heartbeat", "worker_spawned", "worker_died",
     "job_submitted", "job_state", "shard_dispatched",

@@ -42,7 +42,6 @@ from repro.resilience.supervisor import (
     PhaseSupervisor,
     ResilienceContext,
     classify_failure,
-    jitter_unit,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "PhaseSupervisor",
     "ResilienceContext",
     "classify_failure",
-    "jitter_unit",
 ]

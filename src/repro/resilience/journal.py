@@ -16,12 +16,10 @@ them, so a transient fault absorbed in run 1 self-heals in run 2.
 
 Record types: one ``{"type": "header", ...}`` line, then
 ``{"type": "post", ...}`` lines.  Every write is flushed so a killed
-process loses at most the record being written; with
-``journal_fsync`` (``XFD_JOURNAL_FSYNC``) the file is also fsync'd —
-every ``journal_fsync_batch`` records — so progress survives host
-power loss.  A torn *final* line (the record being written when the
-writer was killed) is silently dropped on resume; corruption anywhere
-else still raises :class:`JournalError`.
+process loses at most the record being written.  A torn *final* line
+(the record being written when the writer was killed) is silently
+dropped on resume; corruption anywhere else still raises
+:class:`JournalError`.
 """
 
 from __future__ import annotations
@@ -37,11 +35,10 @@ from repro.errors import JournalError, JournalMismatchError
 JOURNAL_VERSION = 1
 
 #: Config fields that change what a run detects (and therefore what a
-#: journal entry means).  Scheduling knobs (jobs, executor, the
-#: service's ``failure_point_window``) and resilience knobs are
-#: deliberately excluded: reports are byte-identical across them, and
-#: the exclusion is what lets every shard of one service job write
-#: journals that merge into a single resumable run.
+#: journal entry means).  Scheduling knobs (jobs, executor, batch
+#: size) and resilience knobs are deliberately excluded: reports are
+#: byte-identical across them, so a journal written at one setting
+#: resumes at any other.
 _CHECKSUM_FIELDS = (
     "inject_failures", "crash_image_mode", "platform",
     "trust_allocator_zeroing", "first_read_only",
@@ -68,11 +65,11 @@ def _digest_ip(ip):
 
     Only workload frames are digested: a handful of engine-issued
     events (pool setup, ROI markers) attribute to the innermost frame
-    *outside* the runtime — the CLI, a test, or the service's shard
-    driver — and hashing those call sites would make the checksum
-    depend on who drove the run, breaking the service's shard/merge
-    journal sharing.  Workload code is what a resume must not silently
-    change, and it is exactly what stays in the digest.
+    *outside* the runtime — the CLI or a test — and hashing those call
+    sites would make the checksum depend on who drove the run, so a
+    journal written by the CLI could not be resumed from a test.
+    Workload code is what a resume must not silently change, and it is
+    exactly what stays in the digest.
     """
     digest = _DIGEST_MEMO.get(ip)
     if digest is None:
@@ -93,8 +90,8 @@ def run_checksum(config, workload_name, pre_recorder):
     workload, its sizing or faults, or the traced code itself lands
     here, so a stale journal cannot be spliced into a run it no longer
     describes.  Driver call sites are normalized out
-    (:func:`_digest_ip`): the same job checksums identically whether
-    the CLI, a test, or a service shard ran it.
+    (:func:`_digest_ip`): the same run checksums identically whether
+    the CLI or a test drove it.
     """
     digest = hashlib.sha256()
     digest.update(f"journal-v{JOURNAL_VERSION}\n".encode())
@@ -118,10 +115,9 @@ def read_journal_records(path):
     ``header`` is the header record dict and ``posts`` maps
     ``(fid, variant)`` to post records, later lines winning.  A
     malformed **final** line is dropped (the writer was killed
-    mid-write — the torn tail of a SIGKILL'd shard); malformed lines
+    mid-write — the torn tail of a SIGKILL'd run); malformed lines
     anywhere else, a missing header, or an unreadable file raise
-    :class:`JournalError`.  This is the read path shared by resume
-    and by the service's shard-journal merge.
+    :class:`JournalError`.
     """
     try:
         with open(path) as handle:
@@ -230,18 +226,14 @@ class RunJournal:
     :meth:`close`.
     """
 
-    def __init__(self, path, resume_path=None, *, fsync=False,
-                 fsync_batch=1):
+    def __init__(self, path, resume_path=None):
         self.path = path
         self.resume_path = resume_path
-        self.fsync = fsync
-        self.fsync_batch = max(1, fsync_batch)
         self.checksum = None
         self.workload = None
         #: (fid, variant) -> journal entry dict, loaded at begin().
         self.entries = {}
         self._handle = None
-        self._unsynced = 0
 
     @classmethod
     def from_config(cls, config):
@@ -253,11 +245,7 @@ class RunJournal:
         resume_path = getattr(config, "resume", None)
         if not journal_path and not resume_path:
             return None
-        return cls(
-            journal_path or resume_path, resume_path,
-            fsync=getattr(config, "journal_fsync", False),
-            fsync_batch=getattr(config, "journal_fsync_batch", 1),
-        )
+        return cls(journal_path or resume_path, resume_path)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -307,12 +295,6 @@ class RunJournal:
     def _write(self, record):
         self._handle.write(json.dumps(record, default=str) + "\n")
         self._handle.flush()
-        if not self.fsync:
-            return
-        self._unsynced += 1
-        if self._unsynced >= self.fsync_batch:
-            os.fsync(self._handle.fileno())
-            self._unsynced = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -350,8 +332,5 @@ class RunJournal:
 
     def close(self):
         if self._handle is not None:
-            if self.fsync and self._unsynced:
-                os.fsync(self._handle.fileno())
-                self._unsynced = 0
             self._handle.close()
             self._handle = None

@@ -41,27 +41,6 @@ from repro.resilience.incidents import Incident, IncidentKind
 #: Ceiling for one backoff sleep, whatever the generation.
 BACKOFF_CAP = 2.0
 
-#: FNV-1a 64-bit constants for the deterministic jitter hash.
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-
-
-def jitter_unit(fid, attempt, salt=0):
-    """A deterministic jitter coordinate in ``[0, 1)``.
-
-    FNV-1a over ``fid | attempt | salt``: the same retried point backs
-    off by the same amount on every rerun (reports and journals stay
-    reproducible), while different points — and the same point on
-    different shards, via the salt — spread out instead of retrying in
-    lock-step.  No global RNG state is touched.
-    """
-    digest = _FNV_OFFSET
-    for byte in f"{fid}|{attempt}|{salt}".encode():
-        digest ^= byte
-        digest = (digest * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return (digest >> 11) / float(1 << 53)
-
-
 def classify_failure(error):
     """``(IncidentKind, transient)`` for one captured task failure.
 
@@ -193,12 +172,6 @@ class PhaseSupervisor:
         self.retry_backoff = float(
             getattr(config, "retry_backoff", 0.05) or 0.0
         )
-        self.retry_jitter = float(
-            getattr(config, "retry_jitter", 0.0) or 0.0
-        )
-        self.jitter_salt = int(
-            getattr(config, "retry_jitter_salt", 0) or 0
-        )
         self._sleep = sleep
         #: Attempt counts shared with workers when a resilience
         #: context exists (chaos rolls are per-attempt).
@@ -282,21 +255,10 @@ class PhaseSupervisor:
 
     def _backoff(self, generation, pending):
         """Sleep before a retry wave: exponential in the generation,
-        capped, deterministically jittered, and visible in telemetry.
-
-        Jitter multiplies *after* the cap — desynchronizing a fleet of
-        shards is worth up to ``retry_jitter`` extra over the ceiling —
-        and is keyed on the wave's first pending point, so one wave
-        sleeps once, not per key.
-        """
+        capped at :data:`BACKOFF_CAP`, and visible in telemetry."""
         delay = min(
             self.retry_backoff * (2 ** (generation - 1)), BACKOFF_CAP
         )
-        if delay > 0 and self.retry_jitter > 0 and pending:
-            lead = pending[0]
-            delay *= 1.0 + self.retry_jitter * jitter_unit(
-                lead[0], self.attempts.get(lead, 1), self.jitter_salt
-            )
         tel = self.telemetry
         if tel is not None:
             tel.metrics.inc("resilience.retries_total", len(pending))

@@ -13,10 +13,11 @@ import pytest
 from repro.core import DetectorConfig, XFDetector
 from repro.core.frontend import Frontend
 from repro.core.report import DetectionReport
-from repro.core.shadow_ref import reference_bugs
 from repro.exec import ProcessExecutor
 from repro.pm.pool import PMPool
 from repro.workloads.base import Workload
+
+from tests.shadow_ref import reference_bugs
 
 SENTINEL_OFFSET = 4096
 

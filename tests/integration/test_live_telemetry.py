@@ -13,6 +13,7 @@ from repro.exec import ProcessExecutor
 from repro.obs import run_records
 from repro.obs.live import (
     EVENT_KINDS,
+    NONDETERMINISTIC_KINDS,
     event_from_dict,
     normalized_stream,
     parse_exposition,
@@ -26,6 +27,22 @@ V1_DEDUP_STREAM = (
     Path(__file__).resolve().parents[1] / "fixtures"
     / "live_v1_dedup_hit.ndjson"
 )
+
+#: A schema-v1 stream from the since-removed job daemon: its own
+#: ``job_*``/``shard_*``/``drain_*`` events (one job of two shards, one
+#: shard SIGKILLed and reclaimed, then a drain) merged by timestamp
+#: with the runs its shards streamed into the job's event file.
+V1_SERVICE_STREAM = (
+    Path(__file__).resolve().parents[1] / "fixtures"
+    / "live_v1_service_kinds.ndjson"
+)
+
+#: Every kind only the job daemon emitted.
+SERVICE_KINDS = {
+    "job_submitted", "job_state", "shard_dispatched",
+    "shard_completed", "shard_reclaimed", "drain_started",
+    "drain_finished",
+}
 
 
 def _workload():
@@ -241,6 +258,24 @@ class TestReportCli:
         assert "forced_duplicates" in html
         # One heatmap cell per executed post-failure point.
         assert html.count('<div class="cell"') == 4
+        assert capsys.readouterr().out.count("report.html") >= 1
+
+    def test_report_renders_v1_stream_with_service_kinds(
+        self, tmp_path, capsys
+    ):
+        """A v1 stream recorded while the job daemon existed carries
+        its job, shard and drain kinds; it still loads through
+        ``event_from_dict`` and renders."""
+        lines = V1_SERVICE_STREAM.read_text().splitlines()
+        events = [event_from_dict(json.loads(line)) for line in lines]
+        assert {e.kind for e in events} >= SERVICE_KINDS
+        assert SERVICE_KINDS <= NONDETERMINISTIC_KINDS
+        out_path = tmp_path / "report.html"
+        rc = cli.main([
+            "report", str(V1_SERVICE_STREAM), "--out", str(out_path),
+        ])
+        assert rc == 0
+        assert "hashmap_atomic" in out_path.read_text()
         assert capsys.readouterr().out.count("report.html") >= 1
 
     def test_report_rejects_corrupt_stream(self, tmp_path):

@@ -13,7 +13,6 @@ from repro.bugsuite.registry import bug_entries, build_workload
 from repro.core import DetectorConfig, XFDetector
 from repro.core.frontend import Frontend
 from repro.core.report import BugKind, DetectionReport
-from repro.core.shadow_ref import reference_bugs
 from repro.exec import ProcessExecutor
 from repro.obs import run_records
 from repro.workloads import (
@@ -21,6 +20,8 @@ from repro.workloads import (
     HashmapAtomicWorkload,
     HashmapTxWorkload,
 )
+
+from tests.shadow_ref import reference_bugs
 
 
 def _run(jobs, executor, make_workload, **config_kwargs):

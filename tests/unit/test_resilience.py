@@ -7,6 +7,7 @@ from repro.errors import (
     ChaosCrash,
     DeadlineExceeded,
     HarnessError,
+    JournalError,
     ReproError,
     TraversalLimitError,
 )
@@ -19,11 +20,15 @@ from repro.resilience import (
     IncidentLog,
     PhaseSupervisor,
     ResilienceContext,
+    RunJournal,
     Watchdog,
     classify_failure,
     deserialize_bug,
+    read_journal_records,
     serialize_bug,
 )
+from repro.resilience.journal import _digest_ip
+from repro.resilience.supervisor import BACKOFF_CAP
 from repro.workloads.base import TraversalGuard
 
 
@@ -376,6 +381,28 @@ class TestPhaseSupervisor:
         assert resilience.attempts[(0, None, None)] == 1
 
 
+class TestBackoff:
+    def _slept(self, generations, **config_kwargs):
+        delays = []
+        supervisor = PhaseSupervisor(
+            "post_exec", DetectorConfig(**config_kwargs), IncidentLog(),
+            sleep=delays.append,
+        )
+        for generation in generations:
+            supervisor._backoff(generation, [_key(0)])
+        return delays
+
+    def test_delay_doubles_per_generation_up_to_the_cap(self):
+        delays = self._slept(range(1, 10), retry_backoff=0.05)
+        assert delays[:4] == pytest.approx([0.05, 0.1, 0.2, 0.4])
+        assert max(delays) == BACKOFF_CAP
+        assert delays[-3:] == [BACKOFF_CAP] * 3
+        assert delays == sorted(delays)
+
+    def test_zero_backoff_never_sleeps(self):
+        assert self._slept(range(1, 4), retry_backoff=0.0) == []
+
+
 class TestResilienceContext:
     def test_disabled_when_all_knobs_off(self):
         config = DetectorConfig()
@@ -432,3 +459,67 @@ class TestBugRoundTrip:
         )
         payload = json.loads(json.dumps(serialize_bug(bug)))
         assert deserialize_bug(payload) == bug
+
+
+class TestChecksumDigestIp:
+    def test_workload_frames_digested(self):
+        from repro._location import SourceLocation
+
+        ip = SourceLocation(
+            "/x/src/repro/workloads/btree.py", 42, "insert"
+        )
+        assert _digest_ip(ip) == "btree.py:42:insert"
+
+    def test_driver_frames_normalized(self):
+        from repro._location import UNKNOWN_LOCATION, SourceLocation
+
+        for ip in (
+            SourceLocation("/x/src/repro/cli.py", 120, "_cmd_run"),
+            SourceLocation("/x/tests/integration/test_cli.py", 30,
+                           "test_run"),
+            SourceLocation("<stdin>", 3, "<module>"),
+            SourceLocation("/usr/lib/python3.11/contextlib.py", 137,
+                           "__enter__"),
+            UNKNOWN_LOCATION,
+        ):
+            assert _digest_ip(ip) == "<engine>"
+
+
+class TestJournalFile:
+    def _journal(self, path, fids):
+        journal = RunJournal(path)
+        journal.begin("c" * 64, "hashmap_tx")
+        for fid in fids:
+            journal.record_post(
+                fid, None, events=10, has_roi=False, crash_repr=None,
+                bugs=[], benign_races=0,
+            )
+        return journal
+
+    def test_each_record_is_flushed(self, tmp_path):
+        path = str(tmp_path / "run.journal")
+        journal = self._journal(path, [0, 1])
+        try:
+            header, posts = read_journal_records(path)
+        finally:
+            journal.close()
+        assert header["checksum"] == "c" * 64
+        assert sorted(posts) == [(0, None), (1, None)]
+
+    def test_torn_tail_is_dropped(self, tmp_path):
+        path = str(tmp_path / "run.journal")
+        self._journal(path, [0, 1]).close()
+        with open(path, "a") as handle:
+            handle.write('{"type": "post", "fid": 2')  # killed here
+        _header, posts = read_journal_records(path)
+        assert sorted(posts) == [(0, None), (1, None)]
+
+    def test_malformed_middle_line_raises(self, tmp_path):
+        path = str(tmp_path / "run.journal")
+        self._journal(path, [0]).close()
+        with open(path) as handle:
+            header, post = handle.read().splitlines()
+        with open(path, "w") as handle:
+            handle.write("\n".join([header, "not json", post]) + "\n")
+        with pytest.raises(JournalError, match="line 2"):
+            read_journal_records(path)

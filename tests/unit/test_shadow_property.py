@@ -6,7 +6,7 @@ that must be *observationally invisible*.  This test drives identical
 randomized operation sequences (stores, non-temporal stores, flushes,
 fences, transactions, allocations, commit-variable writes) through the
 optimized implementation and through
-:class:`repro.core.shadow_ref.ReferenceShadowPM`, the retained
+:class:`tests.shadow_ref.ReferenceShadowPM`, the retained
 straight-line Figure 9 / Figure 10 implementation, and asserts
 byte-identical persistence and consistency verdicts throughout.
 """
@@ -17,9 +17,10 @@ import pytest
 
 from repro._location import SourceLocation
 from repro.core.shadow import ShadowPM
-from repro.core.shadow_ref import ReferenceShadowPM
 from repro.pm.cacheline import PlatformMode
 from repro.pm.constants import CACHE_LINE_SIZE
+
+from tests.shadow_ref import ReferenceShadowPM
 
 BASE = 0x10000000
 SPAN = 16 * CACHE_LINE_SIZE
